@@ -7,7 +7,15 @@ Three factorizations are provided:
   f(0) = 1 and f(k) = (1 - 1/(2k)) f(k-1) = (2k-1)!!/(2k)!!;
 * the binary (tree) mechanism's factorization into p-sum indicator matrices;
 * Honaker's variance-optimized left factor, the counting matrix times the
-  pseudoinverse of the binary right factor.
+  pseudoinverse of the binary right factor R.  R has full column rank, so
+  pinv(R) = G^-1 R^T with the Gram matrix G = R^T R, which has the closed
+  form G[i, j] = m + 1 - bit_length(i xor j) (0-based leaves, n' = 2^m):
+  the number of tree nodes above both leaves.  No SVD is taken.
+
+Tree nodes are numbered in post-order.  The block of size 2^k ending at
+leaf e (a multiple of 2^k) has index 2e - popcount(e) - 1 - (v - k), where
+2^v is the lowest set bit of e, so every tree index is computed in numpy,
+one level at a time.
 
 Dense factor matrices are capped at n = 4096 (an O(n^2) memory wall);
 streaming code paths work from the Toeplitz coefficients alone.
@@ -36,6 +44,7 @@ __all__ = [
     "binary_factorization",
     "binary_right_factor",
     "binary_left_factor",
+    "binary_gram",
     "dyadic_decomposition",
     "postorder_index",
     "honaker_left",
@@ -204,6 +213,33 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _postorder_nodes(ends: np.ndarray, level: int) -> np.ndarray:
+    """Post-order indices (0-based) of the tree nodes of size 2^level ending
+    at the leaves ``ends`` (int64 multiples of 2^level).
+
+    Leaf e completes the 2e - popcount(e) nodes inside [1, e]; the ones
+    ending at e come last, smallest first, up to size 2^v with 2^v the
+    lowest set bit of e.
+    """
+    lowest = np.bitwise_count((ends & -ends) - 1).astype(np.int64)
+    return 2 * ends - np.bitwise_count(ends).astype(np.int64) - 1 - (lowest - level)
+
+
+def _dyadic_blocks(n: int):
+    """The dyadic decompositions of [1, t] for every t in 1..n, by level.
+
+    Yields (k, rounds, ends, nodes) from the largest block size 2^k down to
+    1: ``rounds`` are the t with bit k set, whose decomposition holds the
+    block of size 2^k ending at ``ends`` = (t >> k) << k, and ``nodes`` are
+    those blocks' post-order indices in the tree over the next power of two.
+    """
+    t = np.arange(1, n + 1, dtype=np.int64)
+    for k in reversed(range(_next_pow2(n).bit_length())):
+        rounds = t[(t >> k) & 1 == 1]
+        ends = (rounds >> k) << k
+        yield k, rounds, ends, _postorder_nodes(ends, k)
+
+
 def binary_right_factor(n: int) -> np.ndarray:
     """The (2n'-1) x n binary-mechanism strategy matrix (n' = next power of two).
 
@@ -212,19 +248,12 @@ def binary_right_factor(n: int) -> np.ndarray:
     """
     n = _dense_guard(n, "binary")
     full = _next_pow2(n)
-
-    def build(size: int) -> np.ndarray:
-        if size == 1:
-            return np.ones((1, 1))
-        half = build(size // 2)
-        rows = half.shape[0]
-        out = np.zeros((2 * rows + 1, size))
-        out[:rows, : size // 2] = half
-        out[rows : 2 * rows, size // 2 :] = half
-        out[2 * rows, :] = 1.0
-        return out
-
-    return build(full)[:, :n]
+    leaves = np.arange(n, dtype=np.int64)
+    out = np.zeros((2 * full - 1, n))
+    for k in range(full.bit_length()):
+        blocks = np.arange(full >> k, dtype=np.int64)
+        out[_postorder_nodes((blocks + 1) << k, k)] = (leaves >> k) == blocks[:, None]
+    return out
 
 
 def binary_left_factor(n: int) -> np.ndarray:
@@ -234,11 +263,9 @@ def binary_left_factor(n: int) -> np.ndarray:
     [1, t], i.e. popcount(t) ones.
     """
     n = _dense_guard(n, "binary")
-    full = _next_pow2(n)
-    out = np.zeros((n, 2 * full - 1))
-    for t in range(1, n + 1):
-        for a, b in dyadic_decomposition(t):
-            out[t - 1, postorder_index(a, b, full)] = 1.0
+    out = np.zeros((n, 2 * _next_pow2(n) - 1))
+    for _, rounds, _, nodes in _dyadic_blocks(n):
+        out[rounds - 1, nodes] = 1.0
     return out
 
 
@@ -253,16 +280,44 @@ def binary_factorization(n: int) -> Factorization:
     )
 
 
+def binary_gram(n: int) -> np.ndarray:
+    """Closed-form Gram matrix R^T R of the binary right factor R.
+
+    Entry (i, j), for 0-based leaves, counts the tree nodes covering both:
+    m + 1 - bit_length(i xor j) with n' = 2^m.  Exact, and equal to
+    ``binary_right_factor(n).T @ binary_right_factor(n)``.
+    """
+    n = _dense_guard(n, "binary")
+    leaves = np.arange(n, dtype=np.int64)
+    # frexp's exponent of a positive integer below 2^53 is its bit length
+    _, bits = np.frexp((leaves[:, None] ^ leaves[None, :]).astype(np.float64))
+    return (_next_pow2(n).bit_length() - bits).astype(np.float64)
+
+
 def honaker_left(n: int) -> Factorization:
-    """Honaker's optimized factorization: same right factor as the binary
+    """Honaker's optimized factorization: same right factor R as the binary
     mechanism, left factor counting_matrix @ pinv(R).
 
     The pseudoinverse-based left factor is the minimum-Frobenius-norm
     solution of L @ R = counting matrix, so it never has larger Frobenius
-    norm than the binary left factor.
+    norm than the binary left factor.  R has full column rank, so
+    pinv(R) = G^-1 R^T with G = ``binary_gram(n)``; G's eigenvalues lie in
+    [1, 2n' - 1], so one dense inversion is well conditioned.  The rows of
+    G^-1 are summed cumulatively (the counting matrix) and R^T is applied as
+    prefix-sum differences over each node's leaf range, clipped at n.
     """
     r = binary_right_factor(n)
-    left = counting_matrix(n) @ linalg.pseudoinverse(r)
+    full = _next_pow2(n)
+    # built transposed, so each node fills a contiguous row:
+    # prefix[j] = sum of the first j rows of (counting_matrix @ G^-1)^T
+    prefix = np.zeros((n + 1, n))
+    np.cumsum(np.cumsum(np.linalg.inv(binary_gram(n)).T, axis=1), axis=0, out=prefix[1:])
+    left_t = np.empty((2 * full - 1, n))
+    for k in range(full.bit_length()):
+        ends = np.arange(1 << k, full + 1, 1 << k, dtype=np.int64)
+        starts = np.minimum(ends - (1 << k), n)
+        left_t[_postorder_nodes(ends, k)] = prefix[np.minimum(ends, n)] - prefix[starts]
+    left = np.ascontiguousarray(left_t.T)
     return Factorization(left=left, right=r, kind="honaker")
 
 

@@ -3,11 +3,15 @@
 The learner releases gradient prefix sums through the square-root
 factorization counting mechanism: one standard-normal matrix G is drawn
 up front, transformed per coordinate by the lower-triangular Toeplitz
-factor, and row t is scaled to the per-round standard deviation
-C(eps, delta) * kappa * ||R(t)||_{1->2}, where R(t) is the t x t principal
-submatrix of the strategy factor.  After preprocessing every round costs
-O(d): clip the gradient, add it to the prefix, add the stored noise row and
-take the regularized argmin (a rescaling) projected onto the feasible ball.
+factor L and scaled by the constant C(eps, delta) * kappa * ||R||_{1->2},
+where R = L is the strategy factor, just as ``StreamingCounter`` scales
+its noise.  The prefix sums are M = L R times the clipped gradients, so
+changing gradient j moves L^-1 times them by R e_j times a vector of norm
+at most kappa: the sensitivity is kappa * ||R||_{1->2}, and G is scaled
+by C(eps, delta) times it.  After preprocessing every
+round costs O(d): clip the gradient, add it to the prefix, add the stored
+noise row and take the regularized argmin (a rescaling) projected onto
+the feasible ball.
 
 Gradient clipping rescales to norm kappa whenever the gradient is longer
 than kappa, so clipped gradients always lie in the radius-kappa ball.
@@ -123,8 +127,8 @@ class DpFtrlLearner:
         correlated = np.column_stack(
             [toeplitz_lower_matvec(factor.coeffs, base[:, j]) for j in range(d)]
         )
-        row_scale = budget.noise_multiplier * kappa * np.sqrt(factor.row_norms_sq())
-        self.noise = correlated * row_scale[:, None]
+        scale = budget.noise_multiplier * kappa * math.sqrt(float(np.sum(factor.coeffs**2)))
+        self.noise = correlated * scale
 
     def step_gradient(self, g) -> np.ndarray:
         """Consume the round-t gradient (evaluated at the current iterate)

@@ -10,6 +10,8 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -29,6 +31,11 @@ __all__ = [
 
 # Symmetry slack accepted by min_eigenvalue_symmetric (absolute, entrywise).
 SYMMETRY_TOL = 1e-10
+
+# A norm computed from unscaled squares is kept when it is finite and at
+# least NORM_TINY: no square overflowed, and a square that underflowed
+# (below 2^-1022) is under 2^-62 of the sum of squares.
+NORM_TINY = 2.0**-480
 
 # Singular values below PINV_RTOL * sigma_max are treated as zero.
 PINV_RTOL = 1e-12
@@ -53,21 +60,38 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
+def _pow2_scaled_norm(a: np.ndarray, norm) -> float:
+    """``norm`` of ``a``, safe at extreme magnitudes.
+
+    ``norm(a)`` is returned when it is finite and at least NORM_TINY.
+    Otherwise ``a`` is divided by the power of two 2^e just above max|a|
+    and the result multiplied back.  Scaling by a power of two is exact,
+    so the squares cannot overflow, and they underflow only where they are
+    negligible against the largest one.  The result is inf only when the
+    norm itself exceeds the float64 range.
+    """
+    with np.errstate(over="ignore"):
+        unscaled = float(norm(a))
+        if NORM_TINY <= unscaled < math.inf:
+            return unscaled
+        _, e = math.frexp(float(np.max(np.abs(a))))
+        return float(np.ldexp(norm(np.ldexp(a, -e)), e))
+
+
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a)))
+    """Square root of the sum of squared entries; exact scaling keeps it
+    finite and nonzero for tiny, subnormal and huge entries."""
+    return _pow2_scaled_norm(as_matrix(a), np.linalg.norm)
 
 
 def col_norm_1to2(a) -> float:
-    """Maximum Euclidean norm over the columns."""
-    a = as_matrix(a)
-    return float(np.sqrt(np.max(np.sum(a * a, axis=0))))
+    """Maximum Euclidean norm over the columns (scaled like ``frobenius_norm``)."""
+    return _pow2_scaled_norm(as_matrix(a), lambda s: np.sqrt(np.max(np.sum(s * s, axis=0))))
 
 
 def row_norm_2toinf(a) -> float:
-    """Maximum Euclidean norm over the rows."""
-    a = as_matrix(a)
-    return float(np.sqrt(np.max(np.sum(a * a, axis=1))))
+    """Maximum Euclidean norm over the rows (scaled like ``frobenius_norm``)."""
+    return _pow2_scaled_norm(as_matrix(a), lambda s: np.sqrt(np.max(np.sum(s * s, axis=1))))
 
 
 def singular_values(a) -> np.ndarray:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .factorization import (
     Factorization,
-    dyadic_decomposition,
+    _dyadic_blocks,
+    _next_pow2,
     honaker_left,
-    postorder_index,
     sqrt_coefficients,
 )
 from .linalg import col_norm_1to2, toeplitz_lower_matvec
@@ -132,7 +132,10 @@ def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
 
     One Gaussian p-sum noise value is drawn per tree node (post-order, so a
     shared seed reproduces the dense-factorization oracle L (R x + y)); each
-    round combines the popcount(t) noisy p-sums covering [1, t].
+    round combines the popcount(t) noisy p-sums covering [1, t].  The
+    output is built one tree level at a time, largest block first, so each
+    round adds its blocks left to right; p-sums are exact differences of
+    the integer prefix sums.  O(n log n) vectorised work.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -140,26 +143,15 @@ def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
         raise ValueError("empty stream")
     if not np.all((x == 0) | (x == 1)):
         raise ValueError("stream elements must be bits")
-    full = 1 << max(0, (n - 1).bit_length())
+    full = _next_pow2(n)
     y = _generator(seed).standard_normal(2 * full - 1) * _binary_node_sigma(budget, full)
 
-    psums = np.zeros(2 * full - 1)
-    partial = [0.0] * (full.bit_length() + 1)
-    out = np.empty(n)
-    for t in range(1, n + 1):
-        cur = float(x[t - 1])
-        psums[postorder_index(t, t, full)] = cur
-        level = 0
-        while t % (1 << (level + 1)) == 0:
-            cur += partial[level]
-            level += 1
-            psums[postorder_index(t - (1 << level) + 1, t, full)] = cur
-        partial[level] = cur
-        acc = 0.0
-        for a, b in dyadic_decomposition(t):
-            idx = postorder_index(a, b, full)
-            acc += psums[idx] + y[idx]
-        out[t - 1] = acc
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(x.astype(np.int64), out=prefix[1:])
+    out = np.zeros(n)
+    for k, rounds, ends, nodes in _dyadic_blocks(n):
+        psums = (prefix[ends] - prefix[ends - (1 << k)]).astype(np.float64)
+        out[rounds - 1] += psums + y[nodes]
     return out
 
 

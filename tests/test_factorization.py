@@ -7,6 +7,9 @@ import pytest
 from contcount.factorization import (
     DENSE_LIMIT,
     binary_factorization,
+    binary_gram,
+    binary_left_factor,
+    binary_right_factor,
     double_factorial_ratio,
     dyadic_decomposition,
     expected_mse,
@@ -19,7 +22,7 @@ from contcount.factorization import (
     sqrt_factorization,
     suboptimality_ratio,
 )
-from contcount.linalg import col_norm_1to2, frobenius_norm
+from contcount.linalg import col_norm_1to2, frobenius_norm, pseudoinverse
 from contcount.mechanism import PrivacyBudget
 from contcount.workload import counting_matrix, err_upper_bound
 
@@ -167,6 +170,43 @@ def test_dyadic_decomposition():
         assert len(blocks) == bin(t).count("1")
         covered = [i for a, b in blocks for i in range(a, b + 1)]
         assert covered == list(range(1, t + 1))
+
+
+def _binary_left_factor_loop(n):
+    full = 1 << max(0, (n - 1).bit_length())
+    out = np.zeros((n, 2 * full - 1))
+    for t in range(1, n + 1):
+        for a, b in dyadic_decomposition(t):
+            out[t - 1, postorder_index(a, b, full)] = 1.0
+    return out
+
+
+def test_binary_left_factor_equals_loop():
+    for n in list(range(1, 65)) + [100, 768]:
+        assert np.array_equal(binary_left_factor(n), _binary_left_factor_loop(n)), n
+
+
+def test_binary_gram_closed_form_exact():
+    for n in range(1, 301):
+        r = binary_right_factor(n)
+        assert np.array_equal(binary_gram(n), r.T @ r), n
+
+
+def test_binary_gram_spectrum_bounds():
+    # eigenvalues 2^l - 1 for the full tree; truncation interlaces them
+    for n in (1, 3, 5, 100, 768):
+        full = 1 << max(0, (n - 1).bit_length())
+        eig = np.linalg.eigvalsh(binary_gram(n))
+        assert eig[0] >= 1 - 1e-9 and eig[-1] <= 2 * full - 1 + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 768, 1024])
+def test_honaker_left_matches_pseudoinverse_oracle(n):
+    fact = honaker_left(n)
+    oracle = counting_matrix(n) @ pseudoinverse(binary_right_factor(n))
+    assert fact.left.shape == oracle.shape
+    scale = np.linalg.norm(oracle, axis=1)[:, None]
+    assert np.all(np.abs(fact.left - oracle) <= 1e-9 * scale)
 
 
 def test_honaker_examples():

@@ -16,7 +16,10 @@ from contcount.ftrl import (
     regret_report,
     run_dp_ftrl_logistic,
 )
+from contcount.factorization import sqrt_coefficients
+from contcount.linalg import lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import PrivacyBudget
+from contcount.workload import counting_matrix
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 NOISE_OFF = PrivacyBudget(1.0, 1e-6, override_noise_multiplier=0.0)
@@ -110,6 +113,25 @@ def test_iterates_stay_in_ball_and_clipped():
         assert np.linalg.norm(clip(g, kappa)) <= kappa * (1 + 1e-12)
         theta = learner.step_gradient(g)
         assert np.linalg.norm(theta) <= radius * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 64, 1024])
+def test_noise_calibration_exact_sensitivity(n):
+    # Released prefix sums are M X + N, N[:, c] = D_c L G[:, c].  Changing one
+    # gradient by v (||v|| <= kappa) moves the whitened release by
+    # (D_c L)^-1 M e_j v_c in column c, so with C and kappa factored out the
+    # Gaussian-mechanism sensitivity is max_{c, j} ||(D_c L)^-1 M e_j||.
+    d, seed, kappa = 2, 5, 0.5
+    learner = DpFtrlLearner(n, d, BUDGET, seed=seed, kappa=kappa)
+    coeffs = sqrt_coefficients(n).coeffs
+    base = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, d))
+    sensitivity = 0.0
+    for c in range(d):
+        correlated = toeplitz_lower_matvec(coeffs, base[:, c])
+        scale = learner.noise[:, c] / correlated / (BUDGET.noise_multiplier * kappa)
+        whitened = np.linalg.solve(scale[:, None] * lower_toeplitz(coeffs), counting_matrix(n))
+        sensitivity = max(sensitivity, float(np.max(np.linalg.norm(whitened, axis=0))))
+    assert sensitivity <= 1 + 1e-9
 
 
 def test_learner_horizon_and_validation():

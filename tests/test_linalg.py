@@ -47,6 +47,41 @@ def test_row_norm_examples():
     assert row_norm_2toinf([[3, 4]]) == pytest.approx(5.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1e-300]],
+        [[1e200]],
+        [[5e-324]],
+        [[2.2e-309, -3e-310]],
+        [[3e-310], [4e-310]],
+        [[-3e200, 4e200], [1e-300, 0.0]],
+        [[1e154, 1e154], [1e154, 1e154]],
+        [[0.0, 0.0]],
+    ],
+)
+def test_norms_at_extreme_magnitudes(a):
+    rows = [math.hypot(*row) for row in a]
+    cols = [math.hypot(*col) for col in zip(*a)]
+    assert frobenius_norm(a) == pytest.approx(math.hypot(*rows), rel=1e-15, abs=0.0)
+    assert col_norm_1to2(a) == pytest.approx(max(cols), rel=1e-15, abs=0.0)
+    assert row_norm_2toinf(a) == pytest.approx(max(rows), rel=1e-15, abs=0.0)
+
+
+def test_norms_overflow_only_beyond_float_range():
+    assert col_norm_1to2([[1.7e308, 1.7e308]]) == 1.7e308
+    assert frobenius_norm([[1.7e308, 1.7e308]]) == math.inf
+
+
+def test_norms_bit_identical_to_unscaled_on_ordinary_inputs():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        a = rng.standard_normal(rng.integers(1, 20, size=2)) * 10.0 ** rng.integers(-100, 100)
+        assert frobenius_norm(a) == float(np.linalg.norm(a))
+        assert col_norm_1to2(a) == float(np.sqrt(np.max(np.sum(a * a, axis=0))))
+        assert row_norm_2toinf(a) == float(np.sqrt(np.max(np.sum(a * a, axis=1))))
+
+
 def test_singular_values_examples():
     # eigenvalues of A^T A are (3 +- sqrt(5))/2, so the spectrum is the golden pair
     got = singular_values([[1, 0], [1, 1]])

@@ -131,6 +131,50 @@ def test_binary_mechanism_matches_dense_oracle():
         assert np.max(np.abs(out - dense)) <= 1e-9
 
 
+def _binary_mechanism_loop(x, budget, seed):
+    """Round-by-round binary mechanism: the reference for the level-by-level one."""
+    from contcount.factorization import dyadic_decomposition, postorder_index
+
+    n = x.shape[0]
+    full = 1 << max(0, (n - 1).bit_length())
+    sigma = budget.noise_multiplier * math.sqrt(1.0 + math.log2(full))
+    y = _generator(seed).standard_normal(2 * full - 1) * sigma
+    psums = np.zeros(2 * full - 1)
+    partial = [0.0] * (full.bit_length() + 1)
+    out = np.empty(n)
+    for t in range(1, n + 1):
+        cur = float(x[t - 1])
+        psums[postorder_index(t, t, full)] = cur
+        level = 0
+        while t % (1 << (level + 1)) == 0:
+            cur += partial[level]
+            level += 1
+            psums[postorder_index(t - (1 << level) + 1, t, full)] = cur
+        partial[level] = cur
+        acc = 0.0
+        for a, b in dyadic_decomposition(t):
+            idx = postorder_index(a, b, full)
+            acc += psums[idx] + y[idx]
+        out[t - 1] = acc
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 100, 255, 256, 257, 768, 1000, 2**14])
+def test_binary_mechanism_bit_identical_to_loop(n):
+    for seed in (0, 17, 2**32 + 5):
+        x = _generator(seed + n).integers(0, 2, n)
+        assert np.array_equal(
+            binary_mechanism_run(x, BUDGET, seed), _binary_mechanism_loop(x, BUDGET, seed)
+        )
+
+
+def test_binary_mechanism_accepts_bool_and_float_bits():
+    x = np.array([1, 0, 1, 1, 0, 1, 1])
+    want = binary_mechanism_run(x, BUDGET, seed=8)
+    assert np.array_equal(binary_mechanism_run(x.astype(bool), BUDGET, seed=8), want)
+    assert np.array_equal(binary_mechanism_run(x.astype(float), BUDGET, seed=8), want)
+
+
 def test_binary_mechanism_rejects_non_bits():
     with pytest.raises(ValueError):
         binary_mechanism_run(np.array([0, 2]), BUDGET, seed=0)
