@@ -47,8 +47,10 @@ from .mechanism import (
     matrix_mechanism_run,
     monte_carlo_mse,
     noise_multiplier,
+    release,
 )
 from .workload import (
+    binary_expected_err,
     counting_matrix,
     counting_inverse,
     counting_schatten1,

@@ -16,23 +16,16 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import certificates, workload
-from .factorization import honaker_left, sqrt_coefficients
+from .factorization import sqrt_coefficients
 from .ftrl import logistic_task, run_dp_ftrl_logistic
 from .linalg import read_matrix_csv
-from .mechanism import (
-    MECHANISM_KINDS,
-    PrivacyBudget,
-    StreamingCounter,
-    binary_mechanism_run,
-    matrix_mechanism_run,
-)
+from .mechanism import MECHANISM_KINDS, PrivacyBudget, release
 
 # Learner noise must not reuse the data-generation stream of the same seed.
 _NOISE_SEED_OFFSET = 2**32
@@ -95,31 +88,12 @@ def cmd_count(args) -> int:
     if len(bits) < n:
         raise ValueError(f"stream provides {len(bits)} bits but --n={n}")
     bits = bits[:n]
-    budget = _budget(args.eps, args.delta)
-
-    if args.mechanism == "factorization":
-        counter = StreamingCounter(n, budget, args.seed)
-        noisy = np.array([counter.step(int(b)) for b in bits])
-    elif args.mechanism == "binary":
-        noisy = binary_mechanism_run(bits, budget, args.seed)
-    else:
-        noisy = matrix_mechanism_run(honaker_left(n), bits.astype(float), budget, args.seed)
-
+    noisy = release(args.mechanism, bits, _budget(args.eps, args.delta), args.seed)
     true = np.cumsum(bits)
     lines = ["t,true_count,noisy_count"]
     lines += [f"{t + 1},{true[t]},{_fmt(noisy[t])}" for t in range(n)]
     _emit(lines, args.out)
     return 0
-
-
-def binary_expected_err(n: int, budget: PrivacyBudget) -> float:
-    """Closed-form expected MSE of the binary mechanism at a power-of-two n:
-    C^2 (1 + log2 n) (n log2(n)/2 + 1) / n, using the exact popcount norm."""
-    if n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    c = budget.noise_multiplier
-    m = int(math.log2(n))
-    return c * c * (1.0 + m) * (n * m / 2.0 + 1.0) / n
 
 
 @dataclass(frozen=True)
@@ -172,7 +146,7 @@ def comparison_rows(n_max: int, eps_fact: float, eps_bin: float, delta: float):
                 delta=delta,
                 err_fact_upper=workload.err_upper_bound(n, fact_budget),
                 err_lower_matrix_mech=workload.err_lower_bound_matrix_mech(n, fact_budget),
-                err_binary_expected=binary_expected_err(n, bin_budget),
+                err_binary_expected=workload.binary_expected_err(n, bin_budget),
             )
         )
         k += 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,11 @@ class Factorization:
     @property
     def n(self) -> int:
         return self.right.shape[1]
+
+    @cached_property
+    def sensitivity(self) -> float:
+        """||R||_{1->2}, the L2 sensitivity of R x to one changed bit (cached)."""
+        return linalg.col_norm_1to2(self.right)
 
 
 def sqrt_coefficients(n: int) -> ToeplitzFactor:
@@ -335,7 +341,7 @@ def expected_mse(fact: Factorization, budget, n: int) -> float:
     if int(n) != fact.n:
         raise ValueError(f"n={n} disagrees with factorization size {fact.n}")
     c = budget.noise_multiplier
-    col = linalg.col_norm_1to2(fact.right)
+    col = fact.sensitivity
     fro = linalg.frobenius_norm(fact.left)
     return c * c * col * col * fro * fro / fact.n
 

@@ -1,17 +1,14 @@
 """Differentially private follow-the-regularized-leader (DP-FTRL).
 
 The learner releases gradient prefix sums through the square-root
-factorization counting mechanism: one standard-normal matrix G is drawn
-up front, transformed per coordinate by the lower-triangular Toeplitz
-factor L and scaled by the constant C(eps, delta) * kappa * ||R||_{1->2},
-where R = L is the strategy factor, just as ``StreamingCounter`` scales
-its noise.  The prefix sums are M = L R times the clipped gradients, so
-changing gradient j moves L^-1 times them by R e_j times a vector of norm
-at most kappa: the sensitivity is kappa * ||R||_{1->2}, and G is scaled
-by C(eps, delta) times it.  After preprocessing every
-round costs O(d): clip the gradient, add it to the prefix, add the stored
-noise row and take the regularized argmin (a rescaling) projected onto
-the feasible ball.
+factorization counting mechanism, with ``StreamingCounter``'s noise
+generator (``mechanism._sqrt_noise``) on d columns.  The prefix sums are
+M = L R (R = L) times the clipped gradients, so changing gradient j moves
+L^-1 times them by R e_j times a vector of norm at most kappa: the
+sensitivity is kappa * ||R||_{1->2}, and the noise L G is scaled by the
+constant C(eps, delta) times it.  After preprocessing every round costs
+O(d): clip the gradient, add it to the prefix, add the stored noise row
+and take the regularized argmin (a rescaling) projected onto the ball.
 
 Gradient clipping rescales to norm kappa whenever the gradient is longer
 than kappa, so clipped gradients always lie in the radius-kappa ball.
@@ -24,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import sqrt_coefficients
-from .linalg import toeplitz_lower_matvec
-from .mechanism import PrivacyBudget
+from .mechanism import PrivacyBudget, _sqrt_noise
 
 __all__ = [
     "clip",
@@ -121,14 +116,7 @@ class DpFtrlLearner:
         self.grad_prefix = np.zeros(d)
         self.theta = np.zeros(d)
 
-        factor = sqrt_coefficients(n)
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
-        base = rng.standard_normal((n, d))
-        correlated = np.column_stack(
-            [toeplitz_lower_matvec(factor.coeffs, base[:, j]) for j in range(d)]
-        )
-        scale = budget.noise_multiplier * kappa * math.sqrt(float(np.sum(factor.coeffs**2)))
-        self.noise = correlated * scale
+        self.noise = _sqrt_noise(n, budget.noise_multiplier * kappa, seed, d)
 
     def step_gradient(self, g) -> np.ndarray:
         """Consume the round-t gradient (evaluated at the current iterate)

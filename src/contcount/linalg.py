@@ -3,7 +3,8 @@
 Norms, spectra, pseudoinverse, PSD checks and lower-triangular Toeplitz
 products.  Everything here operates on plain 2-D float64 numpy arrays
 ("dense matrices"); the heavy decompositions delegate to numpy's LAPACK
-bindings, which satisfy the tolerances documented on each function.
+bindings, which satisfy the tolerances documented on each function.  The
+Toeplitz product uses ``numpy.fft``; the package needs nothing but numpy.
 
 All functions are pure and safe for concurrent use.
 """
@@ -148,8 +149,8 @@ def toeplitz_lower_matvec(coeffs, x) -> np.ndarray:
 
     y[t] = sum_{j <= t} coeffs[t - j] * x[j], i.e. the leading ``n`` entries
     of the convolution of ``coeffs`` with ``x``.  Direct convolution is used
-    up to 4096 entries; beyond that an FFT convolution keeps preprocessing
-    well under the O(n^2) arithmetic budget.
+    up to 4096 entries; beyond that a real FFT whose length is the smallest
+    2^k, 3 * 2^(k-2) or 5 * 2^(k-3) that holds all 2n - 1 terms.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     v = np.asarray(x, dtype=np.float64)
@@ -162,21 +163,17 @@ def toeplitz_lower_matvec(coeffs, x) -> np.ndarray:
         raise ValueError("empty input")
     if n <= 4096:
         return np.convolve(c, v)[:n]
-    from scipy.signal import fftconvolve
+    p = 1 << (2 * n - 2).bit_length()
+    size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
+    return np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(v, size), size)[:n]
 
-    return fftconvolve(c, v)[:n]
 
-
-def lower_toeplitz(coeffs, n: int | None = None) -> np.ndarray:
-    """Materialize the n x n lower-triangular Toeplitz matrix of ``coeffs``."""
-    from scipy.linalg import toeplitz
-
+def lower_toeplitz(coeffs) -> np.ndarray:
+    """Materialize the n x n lower-triangular Toeplitz matrix of the n ``coeffs``."""
     c = np.asarray(coeffs, dtype=np.float64)
-    if n is None:
-        n = c.shape[0]
-    col = np.zeros(n)
-    col[: min(n, c.shape[0])] = c[:n]
-    return toeplitz(col, r=np.zeros(n))
+    # entry (i, j) is vals[n - 1 + i - j]: c[i - j] on and below the diagonal, 0 above
+    vals = np.concatenate((np.zeros(len(c) - 1), c))
+    return np.lib.stride_tricks.sliding_window_view(vals, len(c))[:, ::-1].copy()
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Private counting mechanisms and their Monte-Carlo error harness.
 
+Every mechanism releases the exact prefix sums plus correlated noise L z:
+``release`` maps a mechanism name to code, ``_sqrt_noise`` draws all
+square-root Toeplitz noise.
+
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
 s * C(eps, delta), where
@@ -27,7 +31,7 @@ from .factorization import (
     honaker_left,
     sqrt_coefficients,
 )
-from .linalg import col_norm_1to2, toeplitz_lower_matvec
+from .linalg import toeplitz_lower_matvec
 
 __all__ = [
     "noise_multiplier",
@@ -35,6 +39,7 @@ __all__ = [
     "StreamingCounter",
     "binary_mechanism_run",
     "matrix_mechanism_run",
+    "release",
     "monte_carlo_mse",
 ]
 
@@ -86,14 +91,32 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _check_bits(bits) -> np.ndarray:
+    x = np.asarray(bits)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise ValueError(f"stream must be a non-empty 1-D array, got shape {x.shape}")
+    if not np.all((x == 0) | (x == 1)):
+        raise ValueError("stream elements must be bits")
+    return x
+
+
+def _sqrt_noise(n: int, multiplier: float, seed: int, d: int = 1) -> np.ndarray:
+    """Square-root factorization noise L G, G ~ N(0, I) of shape (n, d) from
+    ``PCG64(seed)``, scaled after the convolution by ``multiplier * ||R||_{1->2}``."""
+    coeffs = sqrt_coefficients(n).coeffs
+    g = _generator(seed).standard_normal((n, d))
+    noise = np.column_stack([toeplitz_lower_matvec(coeffs, column) for column in g.T])
+    return noise * (multiplier * math.sqrt(float(np.sum(coeffs**2))))
+
+
 class StreamingCounter:
     """O(1)-per-round private counter based on the square-root factorization.
 
-    At construction it draws g ~ N(0, I_n), scales by
-    C(eps, delta) * ||R||_{1->2} and stores the correlated noise vector
-    z = L g, where L is the lower-triangular Toeplitz factor.  Each round
-    then just adds z[t] to the running true count.  Preprocessing costs at
-    most O(n^2) arithmetic plus n normal draws; per-round work is constant.
+    At construction it stores the correlated noise vector
+    z = C(eps, delta) * ||R||_{1->2} * L g with g ~ N(0, I_n), where L is the
+    lower-triangular Toeplitz factor (``_sqrt_noise``).  Each round
+    then just adds z[t] to the running true count.  Preprocessing costs
+    O(n log n) arithmetic plus n normal draws; per-round work is constant.
     """
 
     def __init__(self, n: int, budget: PrivacyBudget, seed: int):
@@ -105,10 +128,7 @@ class StreamingCounter:
         self.seed = int(seed)
         self.t = 0
         self.running_sum = 0
-        factor = sqrt_coefficients(n)
-        scale = budget.noise_multiplier * math.sqrt(float(np.sum(factor.coeffs**2)))
-        g = _generator(seed).standard_normal(n)
-        self.noise = toeplitz_lower_matvec(factor.coeffs, scale * g)
+        self.noise = _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
 
     def step(self, x_t: int) -> float:
         """Consume one stream bit and return the noisy running count."""
@@ -122,11 +142,6 @@ class StreamingCounter:
         return float(out)
 
 
-def _binary_node_sigma(budget: PrivacyBudget, full: int) -> float:
-    # max column norm of the binary strategy matrix is sqrt(1 + log2(n'))
-    return budget.noise_multiplier * math.sqrt(1.0 + math.log2(full))
-
-
 def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Run the binary (tree) mechanism over a bit stream.
 
@@ -137,14 +152,12 @@ def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
     round adds its blocks left to right; p-sums are exact differences of
     the integer prefix sums.  O(n log n) vectorised work.
     """
-    x = np.asarray(x)
+    x = _check_bits(x)
     n = x.shape[0]
-    if n < 1:
-        raise ValueError("empty stream")
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("stream elements must be bits")
     full = _next_pow2(n)
-    y = _generator(seed).standard_normal(2 * full - 1) * _binary_node_sigma(budget, full)
+    # max column norm of the binary strategy matrix is sqrt(1 + log2(n'))
+    sigma = budget.noise_multiplier * math.sqrt(1.0 + math.log2(full))
+    y = _generator(seed).standard_normal(2 * full - 1) * sigma
 
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(x.astype(np.int64), out=prefix[1:])
@@ -161,9 +174,29 @@ def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: in
     if x.shape != (fact.n,):
         raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
     p = fact.right.shape[0]
-    scale = budget.noise_multiplier * col_norm_1to2(fact.right)
-    z = _generator(seed).standard_normal(p) * scale
+    z = _generator(seed).standard_normal(p) * (budget.noise_multiplier * fact.sensitivity)
     return fact.left @ (fact.right @ x + z)
+
+
+def release(
+    kind: str, bits, budget: PrivacyBudget, seed: int, fact: Factorization | None = None
+) -> np.ndarray:
+    """Noisy prefix counts of a non-empty 1-D bit stream under mechanism ``kind``.
+
+    ``"factorization"`` is ``cumsum(bits)`` plus ``_sqrt_noise``, byte for
+    byte what ``StreamingCounter.step`` returns; ``"binary"`` runs
+    ``binary_mechanism_run``; ``"honaker"`` runs ``matrix_mechanism_run``
+    with ``fact``, built by ``honaker_left`` when not given.
+    """
+    if kind not in MECHANISM_KINDS:
+        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
+    x = _check_bits(bits)
+    n = x.shape[0]
+    if kind == "factorization":
+        return np.cumsum(x) + _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
+    if kind == "binary":
+        return binary_mechanism_run(x, budget, seed)
+    return matrix_mechanism_run(fact if fact is not None else honaker_left(n), x, budget, seed)
 
 
 def monte_carlo_mse(
@@ -180,28 +213,17 @@ def monte_carlo_mse(
     input in the error definition can be replaced by any fixed stream; the
     harness uses the all-zeros stream.  Trial i is seeded with seed + i.
     """
-    if kind not in MECHANISM_KINDS:
-        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
     n = int(n)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if kind == "honaker" and fact is None:
         fact = honaker_left(n)
-    zeros = np.zeros(n)
-    zero_bits = np.zeros(n, dtype=np.int64)
+    zeros = np.zeros(n, dtype=np.int64)
 
     per_trial = np.empty(trials)
     for i in range(trials):
-        trial_seed = seed + i
-        if kind == "factorization":
-            counter = StreamingCounter(n, budget, trial_seed)
-            outputs = np.array([counter.step(0) for _ in range(n)])
-        elif kind == "binary":
-            outputs = binary_mechanism_run(zero_bits, budget, trial_seed)
-        else:
-            outputs = matrix_mechanism_run(fact, zeros, budget, trial_seed)
-        per_trial[i] = np.mean(outputs**2)
+        per_trial[i] = np.mean(release(kind, zeros, budget, seed + i, fact) ** 2)
 
     estimate = float(np.mean(per_trial))
     if trials == 1:

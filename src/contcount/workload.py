@@ -24,6 +24,7 @@ __all__ = [
     "err_upper_bound",
     "err_lower_bound_matrix_mech",
     "err_lower_bound_any_mechanism",
+    "binary_expected_err",
     "hadamard",
     "parity_workload",
     "parity_gamma_lower",
@@ -121,6 +122,16 @@ def err_lower_bound_matrix_mech(n: int, budget) -> float:
     n = _check_n(n)
     c = budget.noise_multiplier
     return (c * c / math.pi**2) * _lower_bound_base(n)
+
+
+def binary_expected_err(n: int, budget) -> float:
+    """Closed-form expected MSE of the binary mechanism at a power-of-two n:
+    C^2 (1 + log2 n) (n log2(n)/2 + 1) / n, using the exact popcount norm."""
+    if n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
+    c = budget.noise_multiplier
+    m = int(math.log2(n))
+    return c * c * (1.0 + m) * (n * m / 2.0 + 1.0) / n
 
 
 def err_lower_bound_any_mechanism(n: int, epsilon: float, oblivious: bool = False) -> float:

@@ -226,3 +226,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["index,value", "0,1", "1,0.5"]
+
+
+def test_cli_does_not_import_scipy(tmp_path):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1\n0\n" * 2500)  # 5000 rounds: the FFT path
+    script = "\n".join(
+        [
+            "import sys",
+            "import contcount.cli",
+            f"assert contcount.cli.main(['count', '--input', {str(bits)!r}, '--out', {str(tmp_path / 'c.csv')!r}]) == 0",
+            f"assert contcount.cli.main(['ftrl', '--n', '64', '--d', '2', '--out', {str(tmp_path / 'f.csv')!r}]) == 0",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 5001

@@ -168,12 +168,24 @@ def test_toeplitz_matvec_matches_dense_1024():
 
 def test_toeplitz_fft_path_matches_direct():
     rng = np.random.default_rng(4)
-    n = 5000  # above the direct-convolution threshold
-    c = rng.normal(size=n) / np.arange(1, n + 1)
-    x = rng.normal(size=n)
-    fast = toeplitz_lower_matvec(c, x)
-    direct = np.convolve(c, x)[:n]
-    assert np.max(np.abs(fast - direct)) <= 1e-9
+    # above the direct-convolution threshold; the FFT lengths are
+    # 5 * 2^11, 3 * 2^12 and 2^14
+    for n in (5000, 6000, 8192):
+        c = rng.normal(size=n) / np.arange(1, n + 1)
+        x = rng.normal(size=n)
+        fast = toeplitz_lower_matvec(c, x)
+        direct = np.convolve(c, x)[:n]
+        assert np.max(np.abs(fast - direct)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_lower_toeplitz_entries(n):
+    c = np.random.default_rng(n).normal(size=n)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            want[i, j] = c[i - j]
+    assert np.array_equal(lower_toeplitz(c), want)
 
 
 @settings(deadline=None, max_examples=60)

@@ -6,12 +6,14 @@ import pytest
 from contcount.factorization import honaker_left, sqrt_coefficients, sqrt_factorization
 from contcount.linalg import lower_toeplitz
 from contcount.mechanism import (
+    MECHANISM_KINDS,
     PrivacyBudget,
     StreamingCounter,
     binary_mechanism_run,
     matrix_mechanism_run,
     monte_carlo_mse,
     noise_multiplier,
+    release,
     _generator,
 )
 from contcount.workload import counting_matrix
@@ -244,3 +246,24 @@ def test_monte_carlo_binary_vs_sqrt_ratio():
 def test_monte_carlo_rejects_bad_kind():
     with pytest.raises(ValueError):
         monte_carlo_mse("laplace", 4, 10, BUDGET, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097, 5000, 2**17])
+def test_release_factorization_equals_step_loop(n, seed):
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    counter = StreamingCounter(n, BUDGET, seed)
+    stepped = np.array([counter.step(int(b)) for b in bits])
+    assert np.array_equal(release("factorization", bits, BUDGET, seed), stepped)
+
+
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("bits", [[0, 2, 1], [0.5, 1.0], np.zeros((2, 2)), []])
+def test_release_rejects_bad_streams(kind, bits):
+    with pytest.raises(ValueError):
+        release(kind, bits, BUDGET, seed=0)
+
+
+def test_release_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        release("laplace", [0, 1], BUDGET, seed=0)
