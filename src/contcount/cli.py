@@ -10,12 +10,16 @@ Subcommands:
 
 Every command is deterministic given its flags (and seed).  CSV output
 carries a header row; floats are printed with 17 significant digits.
+``count`` and ``coeffs`` format and write their rows ``CHUNK_ROWS`` at a
+time, so their memory does not grow with one string per row.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +34,16 @@ from .mechanism import MECHANISM_KINDS, PrivacyBudget, release
 # Learner noise must not reuse the data-generation stream of the same seed.
 _NOISE_SEED_OFFSET = 2**32
 
+# Rows formatted per write by ``_emit_columns``: memory stays bounded in n.
+CHUNK_ROWS = 1024
+
+# Byte classes of the vectorised bit reader: 0 anything else, 1 ASCII
+# whitespace inside a line, 2 a line end (``\n`` or ``\r``), 3 a bit.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[[9, 11, 12, 28, 29, 30, 31, 32]] = 1
+_BYTE_CLASS[[10, 13]] = 2
+_BYTE_CLASS[[48, 49]] = 3
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -42,13 +56,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(lines, out_path: str | None) -> None:
-    payload = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(out_path: str | None):
     if out_path is None or out_path == "-":
-        sys.stdout.write(payload)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            yield fh
+
+
+def _emit(lines, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _emit_columns(header: str, row_format: str, columns, out_path: str | None) -> None:
+    """Write ``header`` and one ``row_format % row`` line per row of the
+    equal-length ``columns``, formatting and writing CHUNK_ROWS rows at a time."""
+    n, width = len(columns[0]), len(columns)
+    with _output(out_path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n)
+            cells = [None] * (width * (stop - start))
+            for i, column in enumerate(columns):
+                cells[i::width] = column[start:stop].tolist()
+            fh.write((row_format * (stop - start)) % tuple(cells))
 
 
 def _budget(eps: float, delta: float) -> PrivacyBudget:
@@ -56,30 +89,56 @@ def _budget(eps: float, delta: float) -> PrivacyBudget:
 
 
 def cmd_coeffs(args) -> int:
-    factor = sqrt_coefficients(args.n)
-    lines = ["index,value"]
-    lines += [f"{k},{_fmt(v)}" for k, v in enumerate(factor.coeffs)]
-    _emit(lines, args.out)
+    coeffs = sqrt_coefficients(args.n).coeffs
+    _emit_columns("index,value", "%d,%.17g\n", [np.arange(len(coeffs)), coeffs], args.out)
     return 0
 
 
-def _read_bits(path: str | None) -> np.ndarray:
-    stream = sys.stdin if path is None or path == "-" else open(path, "r", encoding="utf-8")
-    try:
-        bits = []
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line not in ("0", "1"):
-                raise ValueError(f"line {lineno}: expected a 0 or 1 bit, got {line!r}")
-            bits.append(int(line))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+def _parse_bits(data: bytes) -> np.ndarray | None:
+    """Bits of a buffer holding only ASCII ``0``/``1``/whitespace with at most
+    one bit per line, else None.  Lines end at ``\\n`` or ``\\r``."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cls = _BYTE_CLASS[raw]
+    if not np.all(cls):
+        return None
+    kept = raw[cls >= 2]  # line ends and bits, in order
+    is_bit = kept >= 48
+    if np.any(is_bit[1:] & is_bit[:-1]):
+        return None
+    bits = kept[is_bit].astype(np.int64) - 48
+    return bits if bits.size else None
+
+
+def _read_bits_lines(data: bytes) -> np.ndarray:
+    """Decode ``data`` as UTF-8 text, one bit per line, blank lines skipped."""
+    bits = []
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line not in ("0", "1"):
+            raise ValueError(f"line {lineno}: expected a 0 or 1 bit, got {line!r}")
+        bits.append(int(line))
     if not bits:
         raise ValueError("empty bit stream")
     return np.array(bits, dtype=np.int64)
+
+
+def _read_bits(path: str | None) -> np.ndarray:
+    """The bit stream of file ``path`` (stdin for None or ``-``).
+
+    Input in the documented format is decoded by ``_parse_bits``; anything
+    else goes through ``_read_bits_lines``, which also accepts Unicode
+    whitespace and is the only code that reports malformed input.
+    """
+    if path is None or path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    bits = _parse_bits(data)
+    return bits if bits is not None else _read_bits_lines(data)
 
 
 def cmd_count(args) -> int:
@@ -89,10 +148,8 @@ def cmd_count(args) -> int:
         raise ValueError(f"stream provides {len(bits)} bits but --n={n}")
     bits = bits[:n]
     noisy = release(args.mechanism, bits, _budget(args.eps, args.delta), args.seed)
-    true = np.cumsum(bits)
-    lines = ["t,true_count,noisy_count"]
-    lines += [f"{t + 1},{true[t]},{_fmt(noisy[t])}" for t in range(n)]
-    _emit(lines, args.out)
+    columns = [np.arange(1, n + 1), np.cumsum(bits), noisy]
+    _emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, args.out)
     return 0
 
 

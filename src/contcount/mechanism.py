@@ -137,9 +137,8 @@ class StreamingCounter:
         if x_t not in (0, 1):
             raise ValueError(f"stream elements must be bits, got {x_t!r}")
         self.running_sum += int(x_t)
-        out = self.running_sum + self.noise[self.t]
         self.t += 1
-        return float(out)
+        return self.running_sum + self.noise.item(self.t - 1)
 
 
 def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:

@@ -1,13 +1,19 @@
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contcount import cli
 from contcount.cli import main
-from contcount.factorization import suboptimality_ratio
+from contcount.factorization import sqrt_coefficients, suboptimality_ratio
 from contcount.linalg import write_matrix_csv
+from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, release
 from contcount.workload import counting_matrix
 
 
@@ -243,3 +249,132 @@ def test_cli_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "c.csv").read_text().splitlines()) == 5001
+
+
+def _reference_read_bits(path):
+    """The line-at-a-time reader that the vectorised one must agree with."""
+    bits = []
+    with open(path, "r", encoding="utf-8") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line not in ("0", "1"):
+                raise ValueError(f"line {lineno}: expected a 0 or 1 bit, got {line!r}")
+            bits.append(int(line))
+    if not bits:
+        raise ValueError("empty bit stream")
+    return np.array(bits, dtype=np.int64)
+
+
+def _read_outcome(reader, path):
+    try:
+        bits = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return bits.dtype, bits.tolist()
+
+
+def _assert_reader_parity(data: bytes, path: Path):
+    path.write_bytes(data)
+    want = _read_outcome(_reference_read_bits, path)
+    assert _read_outcome(cli._read_bits, str(path)) == want
+
+
+READER_CORPUS = [
+    b"1\n0\n1",  # no trailing newline
+    b"1\r\n0\r\n1\r\n",  # CRLF
+    b"1\r0\r1\r",  # lone CR
+    b"1\r\n0\r1\n\r\n",  # mixed line ends
+    b"1\n\n0\n \n\t\n\n1\n",  # blank and whitespace-only lines
+    b" 1\n0 \n\t1\t\n \t0\t \n",  # leading and trailing spaces and tabs
+    b"1\x0b\n\x0c0\x1f\n",  # other ASCII whitespace around a bit
+    b"0\x0c1\n",  # form feed is not a line end
+    b"0\x1c1\n",  # nor is a file separator
+    b"2\n",
+    b"1\n01\n",
+    b"0 1\n",
+    b"-1\n",
+    b" 1 \n",
+    b"1\x00\n",
+    "\xa01\u20030\n1\n".encode(),  # Unicode whitespace: only the line loop accepts it
+    b"\xef\xbb\xbf1\n0\n",  # UTF-8 byte-order mark
+    b"1\n\xff\n0\n",  # invalid UTF-8
+    b"",
+    b" \n\t\r\n",
+]
+
+
+@pytest.mark.parametrize("data", READER_CORPUS)
+def test_read_bits_matches_line_reader(tmp_path, data):
+    _assert_reader_parity(data, tmp_path / "bits.txt")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet="012 \t\r\n\x0b\x0c\xa0", max_size=40))
+def test_read_bits_matches_line_reader_random(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_reader_parity(text.encode(), Path(tmp) / "bits.txt")
+
+
+def _reference_count_csv(bits, noisy):
+    """The per-row formatter that ``count`` must reproduce byte for byte."""
+    true = np.cumsum(bits)
+    lines = ["t,true_count,noisy_count"]
+    lines += [f"{t + 1},{true[t]},{format(float(noisy[t]), '.17g')}" for t in range(len(bits))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("n", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+def test_count_output_matches_row_formatter(tmp_path, capsys, kind, n):
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    path = tmp_path / "bits.txt"
+    path.write_text("".join(f"{b}\n" for b in bits))
+    noisy = release(kind, bits, PrivacyBudget(1.0, 1e-10), 11)
+    want = _reference_count_csv(bits, noisy)
+    args = ["count", "--input", str(path), "--mechanism", kind, "--seed", "11"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == want
+    code, out, _ = run_cli(args + ["--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 0 and out == ""
+    assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+
+def test_writer_formats_every_float_like_format(capsys):
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.max, -1e-300]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([specials, 10.0 ** rng.uniform(-300, 300, 3000) * rng.choice([-1, 1], 3000)])
+    ints = rng.integers(-(2**62), 2**62, size=values.size)
+    cli._emit_columns("a,b", "%d,%.17g\n", [ints, values], None)
+    want = "a,b\n" + "".join(f"{i},{format(float(v), '.17g')}\n" for i, v in zip(ints, values))
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("n", [1, 2, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+def test_coeffs_output_matches_row_formatter(capsys, n):
+    coeffs = sqrt_coefficients(n).coeffs
+    want = "index,value\n" + "".join(f"{k},{format(float(v), '.17g')}\n" for k, v in enumerate(coeffs))
+    code, out, _ = run_cli(["coeffs", "--n", str(n)], capsys)
+    assert code == 0
+    assert out == want
+
+
+def test_count_reads_stdin(tmp_path, capsys):
+    # the README's `printf '1\n0\n1\n' | contcount count ...` usage
+    args = ["count", "--eps", "1.0", "--delta", "1e-10", "--seed", "7"]
+    path = tmp_path / "bits.txt"
+    path.write_text("1\n0\n1\n")
+    code, want, _ = run_cli(args + ["--input", str(path)], capsys)
+    assert code == 0
+    for extra in ([], ["--input", "-"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "contcount.cli", *args, *extra],
+            input="1\n0\n1\n",
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
+    assert [line.split(",")[:2] for line in want.splitlines()[1:]] == [["1", "1"], ["2", "1"], ["3", "2"]]
