@@ -10,12 +10,25 @@ certificate families:
   the two blocks);
 * the diagonal certificate, proving gamma = ||A||_F for diagonal A.
 
+The SVD certificate's PSD condition is checked at the size k = min(n, m)
+of its smaller side, not on the (n + m)^2 dual block.  With Z = U S V^T,
+the block diag(n I_n, I_m) - Zhat splits into one 2 x 2 block
+[[n, -s], [-s, 1]] per singular value s of Z, plus eigenvalues 1 and n,
+which are never smaller.  Its least eigenvalue is therefore the exact
+Schur-complement expression
+
+    2 mu / ((n + 1) + sqrt((n + 1)^2 - 4 mu)),   mu = lambda_min(n I_k - G),
+
+where G is Z Z^T (n <= m) or Z^T Z (n > m).  It is compared against the
+same threshold -tol * (1 + ||Z||_F) as the dense block would be.
+
 Only certificate *verification* is implemented; solving the SDP generically
 is out of scope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,29 +85,40 @@ def build_svd_certificate(a) -> DualCertificate:
     """Certificate witnessing gamma >= ||A||_1 / sqrt(m).
 
     Takes Z = sqrt(n) U V^T from the SVD of A and
-    w = (1/sqrt(2)) (1_n / sqrt(n); 1_m / sqrt(m)).
+    w = (1/sqrt(2)) (1_n / sqrt(n); 1_m / sqrt(m)).  The claimed objective
+    ||A||_1 / sqrt(m) is summed from the same SVD's singular values.
     """
     a = as_matrix(a)
     n, m = a.shape
     if not np.any(a):
         raise ValueError("certificate construction needs a nonzero matrix")
-    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     z = np.sqrt(n) * (u @ vt)
     w = np.concatenate(
         [np.full(n, 1.0 / np.sqrt(2.0 * n)), np.full(m, 1.0 / np.sqrt(2.0 * m))]
     )
-    return DualCertificate(w=w, Z=z, claimed_objective=schatten1(a) / np.sqrt(m))
+    return DualCertificate(w=w, Z=z, claimed_objective=float(np.sum(s)) / np.sqrt(m))
 
 
-def _feasibility_block(z: np.ndarray) -> np.ndarray:
-    # diag(n I_n, I_m) - Zhat, with Zhat the symmetric embedding of Z
+def _feasibility_min_eigenvalue(z: np.ndarray) -> float:
+    """Least eigenvalue of diag(n I_n, I_m) - Zhat, from the k x k Gram of Z.
+
+    Z is first multiplied by a power of two s <= 1 with s max|Z| <= 1, so
+    its Gram cannot overflow; the scaling is exact up to underflow far
+    below the rounding of the result.  With mu' = s^2 mu and c = (n + 1) s
+    the module docstring's expression becomes
+    2 mu' / (s (c + sqrt(c^2 - 4 mu'))).
+    """
     n, m = z.shape
-    s = np.zeros((n + m, n + m))
-    s[:n, :n] = n * np.eye(n)
-    s[n:, n:] = np.eye(m)
-    s[:n, n:] = -z
-    s[n:, :n] = -z.T
-    return s
+    _, e = math.frexp(float(np.max(np.abs(z))))
+    scale = math.ldexp(1.0, -max(e, 0))
+    zs = z * scale
+    gram = zs @ zs.T if n <= m else zs.T @ zs
+    # eigvalsh reads one triangle, so a Gram symmetric only to rounding is fine
+    mu = float(np.linalg.eigvalsh(n * scale * scale * np.eye(len(gram)) - gram)[0])
+    c = (n + 1) * scale
+    # the discriminant is (n - 1)^2 or more in exact arithmetic; 0 at n = 1, Z = 0
+    return 2.0 * mu / (scale * (c + math.sqrt(max(c * c - 4.0 * mu, 0.0))))
 
 
 def verify_certificate(a, cert: DualCertificate, tol: float = 1e-9) -> tuple[bool, float]:
@@ -103,7 +127,10 @@ def verify_certificate(a, cert: DualCertificate, tol: float = 1e-9) -> tuple[boo
     Feasibility requires the weight structure (strictly positive entries,
     unit norm, first block constant) and positive semidefiniteness of
     diag(n I, I) - Zhat, tested as min-eigenvalue >= -tol * (1 + ||Z||_F)
-    so the tolerance tracks the magnitude of the blocks.  The objective
+    so the tolerance tracks the magnitude of the blocks.  The least
+    eigenvalue of that (n + m)^2 block is computed exactly from the k x k
+    Gram of Z, k = min(n, m), by the Schur-complement identity in the module
+    docstring; the threshold is unchanged.  The objective
     w^T (Ahat o Zhat) w = 2 w_1^T (A o Z) w_2 is returned either way; it is
     a valid lower bound on the factorization norm only when feasible.
     """
@@ -122,7 +149,7 @@ def verify_certificate(a, cert: DualCertificate, tol: float = 1e-9) -> tuple[boo
         and float(np.max(w[:n]) - np.min(w[:n])) <= 1e-12
     )
     scale = 1.0 + frobenius_norm(z)
-    psd_ok = min_eigenvalue_symmetric(_feasibility_block(z)) >= -tol * scale
+    psd_ok = _feasibility_min_eigenvalue(z) >= -tol * scale
 
     objective = 2.0 * float(w[:n] @ ((a * z) @ w[n:]))
     return structure_ok and psd_ok, objective

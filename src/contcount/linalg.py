@@ -6,12 +6,14 @@ products.  Everything here operates on plain 2-D float64 numpy arrays
 bindings, which satisfy the tolerances documented on each function.  The
 Toeplitz product uses ``numpy.fft``; the package needs nothing but numpy.
 
-All functions are pure and safe for concurrent use.
+All functions are pure and safe for concurrent use, except that
+``read_matrix_csv`` swaps the process's warning filters while it parses.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -179,8 +181,27 @@ def lower_toeplitz(coeffs) -> np.ndarray:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix from CSV: one row per line, comma-separated floats, no header.
 
-    Ragged rows and non-numeric fields are rejected.
+    The file is parsed in C by ``np.loadtxt``.  When that raises
+    ``ValueError`` or finds no data, the file is read again by
+    ``_read_matrix_csv_lines``, a line loop that also accepts what Python's
+    ``float`` does (``1_0``, non-ASCII digits, whitespace-only lines) and
+    is the only code that reports malformed input: ragged rows, non-numeric
+    fields, an empty file.  NaN and infinite entries are refused either way.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                a = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            a = None
+    if a is None or a.size == 0:
+        return _read_matrix_csv_lines(path)
+    return as_matrix(a)
+
+
+def _read_matrix_csv_lines(path) -> np.ndarray:
+    """``read_matrix_csv`` one line at a time with Python's ``float``."""
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contcount.certificates import (
     DualCertificate,
+    _feasibility_min_eigenvalue,
     build_diagonal_certificate,
     build_svd_certificate,
     gamma_lower,
@@ -12,7 +14,7 @@ from contcount.certificates import (
     verify_certificate,
     verify_diagonal_certificate,
 )
-from contcount.linalg import min_eigenvalue_symmetric, schatten1
+from contcount.linalg import frobenius_norm, min_eigenvalue_symmetric, schatten1
 from contcount.workload import (
     counting_matrix,
     gamma_lower_bound_count,
@@ -84,6 +86,51 @@ def test_scaled_certificate_infeasible():
     bad = DualCertificate(w=cert.w, Z=1.5 * cert.Z, claimed_objective=cert.claimed_objective)
     feasible, _ = verify_certificate(a, bad)
     assert not feasible
+
+
+def _feasibility_block(z: np.ndarray) -> np.ndarray:
+    """Dense oracle: diag(n I_n, I_m) - Zhat, Zhat the symmetric embedding of Z."""
+    n, m = z.shape
+    s = np.zeros((n + m, n + m))
+    s[:n, :n] = n * np.eye(n)
+    s[n:, n:] = np.eye(m)
+    s[:n, n:] = -z
+    s[n:, :n] = -z.T
+    return s
+
+
+@st.composite
+def dual_blocks(draw):
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "rank_deficient", "zero", "svd_scaled"]))
+    if kind == "random":
+        z = rng.normal(size=(n, m)) * draw(st.sampled_from([1e-300, 0.1, 1.0, 4.0, 1e200]))
+    elif kind == "rank_deficient":
+        r = draw(st.integers(0, min(n, m) - 1)) if min(n, m) > 1 else 0
+        z = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+    elif kind == "zero":
+        z = np.zeros((n, m))
+    else:
+        z = build_svd_certificate(rng.normal(size=(n, m))).Z
+        z = z * draw(st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]))
+    return z
+
+
+@settings(deadline=None, max_examples=300)
+@given(dual_blocks())
+@example(np.full((3, 3), 1e200))  # its Gram overflows float64 unless Z is scaled first
+@example(np.zeros((1, 1)))  # discriminant exactly 0
+def test_schur_min_eigenvalue_matches_dense_block(z):
+    n, m = z.shape
+    scale = 1.0 + frobenius_norm(z)
+    dense = min_eigenvalue_symmetric(_feasibility_block(z))
+    assert abs(_feasibility_min_eigenvalue(z) - dense) <= 1e-12 * scale
+    # verdict as the dense check gives it, with a valid weight vector
+    a = np.ones((n, m))
+    w = build_svd_certificate(a).w
+    feasible, _ = verify_certificate(a, DualCertificate(w=w, Z=z, claimed_objective=0.0))
+    assert feasible == (dense >= -1e-9 * scale)
 
 
 def test_w_structure_violations_detected():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from contcount import cli
 from contcount.cli import main
 from contcount.factorization import sqrt_coefficients, suboptimality_ratio
+from contcount.ftrl import clip, project_ball
 from contcount.linalg import write_matrix_csv
 from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, release
 from contcount.workload import counting_matrix
@@ -168,6 +169,73 @@ def test_certify_missing_file(capsys):
     code, _, err = run_cli(["certify", "--matrix", "/nonexistent/m.csv"], capsys)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+def test_certify_one_svd_and_gram_size_eigensolve(tmp_path, capsys, monkeypatch, shape):
+    svd_shapes, eig_shapes = [], []
+    svd, eigvalsh, eigh = np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh
+
+    def counted(fn, shapes):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted(svd, svd_shapes))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh, eig_shapes))
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh, eig_shapes))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.random.default_rng(5).normal(size=shape))
+    code, out, _ = run_cli(["certify", "--matrix", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "true"
+    assert svd_shapes == [shape]
+    assert eig_shapes and max(max(s) for s in eig_shapes) <= min(shape)
+
+
+def _reference_clip(g, kappa):
+    g = np.asarray(g, dtype=np.float64)
+    if kappa <= 0:
+        raise ValueError(f"clip norm must be positive, got {kappa}")
+    norm = float(np.linalg.norm(g))
+    if norm <= kappa:
+        return g.copy()
+    return g * (kappa / norm)
+
+
+def _reference_project_ball(v, radius):
+    v = np.asarray(v, dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    if norm <= radius:
+        return v
+    return v * (radius / norm)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "200", "--d", "3", "--seeds-count", "2"],
+        ["--n", "150", "--d", "6", "--seed", "7", "--kappa", "0.3", "--radius", "0.5"],
+    ],
+)
+def test_ftrl_output_matches_linalg_norm_reference(capsys, monkeypatch, flags):
+    args = ["ftrl", *flags]
+    _, got, _ = run_cli(args, capsys)
+    monkeypatch.setattr("contcount.ftrl.clip", _reference_clip)
+    monkeypatch.setattr("contcount.ftrl.project_ball", _reference_project_ball)
+    _, want, _ = run_cli(args, capsys)
+    assert got == want
+
+
+def test_clip_and_project_match_linalg_norm_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        v = rng.normal(size=int(rng.integers(1, 20))) * 10.0 ** int(rng.integers(-3, 4))
+        bound = float(rng.uniform(0.01, 10.0))
+        assert np.array_equal(clip(v, bound), _reference_clip(v, bound))
+        assert np.array_equal(project_ball(v, bound), _reference_project_ball(v, bound))
 
 
 def test_ftrl_single_seed_deterministic(capsys):

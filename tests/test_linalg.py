@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from contcount.linalg import (
+    as_matrix,
     col_norm_1to2,
     frobenius_norm,
     lower_toeplitz,
@@ -234,3 +237,89 @@ def test_csv_rejects_empty(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_matrix_csv(path)
+
+
+def _reference_read_matrix_csv(path):
+    """The line-at-a-time reader that the C-parsed one must agree with."""
+    rows: list[list[float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(field) for field in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: ragged row of length {len(row)}, expected {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    return as_matrix(rows)
+
+
+def _matrix_outcome(reader, path):
+    try:
+        a = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.tolist()
+
+
+def _assert_matrix_reader_parity(data: bytes, path: Path):
+    path.write_bytes(data)
+    want = _matrix_outcome(_reference_read_matrix_csv, path)
+    got = _matrix_outcome(read_matrix_csv, path)
+    assert got == want
+    if not isinstance(want[0], type):  # an array: equal bit for bit, not just by ==
+        assert np.array_equal(read_matrix_csv(path), _reference_read_matrix_csv(path))
+
+
+MATRIX_READER_CORPUS = [
+    b"1,2.5\n-3e-2,4\n",  # plain
+    b"1,2\n3,4",  # no final newline
+    b"1,2\r\n3,4\r\n",  # CRLF
+    b"1,2\r3,4\r",  # lone CR
+    b" 1 ,\t2\t\n\t3, 4 \n",  # spaces and tabs around fields
+    b"1,2\n\n3,4\n",  # blank line mid-file
+    b"1,2\n \t\n3,4\n",  # whitespace-only line
+    b"1_0,2\n",  # digit separator: only the line loop accepts it
+    b"#1,2\n3,4\n",  # '#' at the start of a line is data, not a comment
+    b"1,#2\n",  # and mid-line
+    b"1,2,\n3,4,\n",  # trailing comma
+    b"\xef\xbb\xbf1,2\n3,4\n",  # UTF-8 byte-order mark
+    "1,\xa02\n".encode(),  # no-break space
+    "\u0661,2\n".encode(),  # Arabic-Indic digit one
+    b"nan,1\n",
+    b"inf,1\n",
+    b"Infinity,1\n",
+    b"1e400,1\n",  # overflows to inf
+    b"0x10,1\n",
+    b"1d3,1\n",
+    b"1j,1\n",
+    b'"1","2"\n',  # quoted fields
+    b"1;2\n",
+    b"1,2\n3\n",  # ragged
+    b"1,two\n",  # non-numeric
+    b"1,2\n\xff,4\n",  # invalid UTF-8
+    b"",  # empty file
+    b" \n\t\r\n",  # whitespace-only file
+    b"5\n",  # 1 x 1
+    b"1,2,3,4\n",  # 1 x m
+    b"1\n2\n3\n",  # n x 1
+]
+
+
+@pytest.mark.parametrize("data", MATRIX_READER_CORPUS)
+def test_read_matrix_csv_matches_line_reader(tmp_path, data):
+    _assert_matrix_reader_parity(data, tmp_path / "m.csv")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.text(alphabet="0159.,-+eE_n \t\r\n\xa0", max_size=30))
+def test_read_matrix_csv_matches_line_reader_random(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_matrix_reader_parity(text.encode(), Path(tmp) / "m.csv")
