@@ -18,7 +18,8 @@ leaf e (a multiple of 2^k) has index 2e - popcount(e) - 1 - (v - k), where
 one level at a time.
 
 Dense factor matrices are capped at n = 4096 (an O(n^2) memory wall);
-streaming code paths work from the Toeplitz coefficients alone.
+releases build none: the square-root noise works from the Toeplitz
+coefficients alone and Honaker's from the tree (``mechanism._honaker_noise``).
 """
 
 from __future__ import annotations

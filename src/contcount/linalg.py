@@ -167,7 +167,9 @@ def toeplitz_lower_matvec(coeffs, x) -> np.ndarray:
         return np.convolve(c, v)[:n]
     p = 1 << (2 * n - 2).bit_length()
     size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
-    return np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(v, size), size)[:n]
+    spectrum = np.fft.rfft(c, size)
+    spectrum *= np.fft.rfft(v, size)
+    return np.fft.irfft(spectrum, size)[:n]
 
 
 def lower_toeplitz(coeffs) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every mechanism releases the exact prefix sums plus correlated noise L z:
 ``release`` maps a mechanism name to code, ``_sqrt_noise`` draws all
-square-root Toeplitz noise.
+square-root Toeplitz noise and ``_honaker_noise`` Honaker's tree noise, with
+no dense matrix.  ``matrix_mechanism_run`` runs an explicit dense
+factorization; ``release`` uses it only when handed one for ``"honaker"``.
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -28,7 +30,6 @@ from .factorization import (
     Factorization,
     _dyadic_blocks,
     _next_pow2,
-    honaker_left,
     sqrt_coefficients,
 )
 from .linalg import toeplitz_lower_matvec
@@ -105,8 +106,55 @@ def _sqrt_noise(n: int, multiplier: float, seed: int, d: int = 1) -> np.ndarray:
     ``PCG64(seed)``, scaled after the convolution by ``multiplier * ||R||_{1->2}``."""
     coeffs = sqrt_coefficients(n).coeffs
     g = _generator(seed).standard_normal((n, d))
-    noise = np.column_stack([toeplitz_lower_matvec(coeffs, column) for column in g.T])
-    return noise * (multiplier * math.sqrt(float(np.sum(coeffs**2))))
+    # each column's convolution overwrites its normals, so no n x d copy is made
+    for j in range(d):
+        g[:, j] = toeplitz_lower_matvec(coeffs, g[:, j])
+    g *= multiplier * math.sqrt(float(np.sum(coeffs**2)))
+    return g
+
+
+def _honaker_noise(n: int, multiplier: float, seed: int) -> np.ndarray:
+    """Honaker noise sigma M G^-1 R^T z for z ~ N(0, I) of length 2n' - 1
+    from ``PCG64(seed)``, with R the binary strategy matrix, G = R^T R, M the
+    counting matrix and sigma = multiplier * sqrt(1 + log2(n')), as in
+    ``binary_mechanism_run``.  No matrix is formed: O(n log n) time, O(n)
+    memory.
+
+    R^T z adds to each leaf the values of its ancestors.  Post-order lists
+    a tree as its left subtree, its right subtree, then its root, so the
+    roots are peeled off top down, one level per reshape.  G^-1 is applied
+    bottom-up: on the leaves of a node of size 2^k, the Gram matrix of the
+    node's subtree is 11^T + blockdiag(children), so the children's
+    solution w and u = blockdiag(children)^-1 1 give the node's by
+    Sherman-Morrison, w -= u (1^T w) / (1 + 1^T u) and u /= 1 + 1^T u.  On
+    a full node u is the constant 1 / (2^(k+1) - 1), so a level of full
+    nodes is one row sum; only the last, ragged node keeps a vector u.
+    """
+    full = _next_pow2(n)
+    levels = full.bit_length()
+    tree = _generator(seed).standard_normal(2 * full - 1)[None, :]
+    w = tree[:, -1]
+    while tree.shape[1] > 1:
+        tree = tree[:, :-1].reshape(-1, tree.shape[1] // 2)
+        w = np.repeat(w, 2) + tree[:, -1]
+    w = w[:n]  # leaves past n are not columns of R
+    u = np.empty(0)  # u on the leaves of the ragged node of the level below
+    for k in range(1, levels):
+        size = 1 << k
+        start = (n >> k) << k  # the leaves before it lie in full nodes
+        if start:
+            blocks = w[:start].reshape(-1, size)
+            blocks -= blocks.sum(axis=1, keepdims=True) / (2 * size - 1)
+        if start < n:
+            # its full children, of size 2^(k-1), have u = 1 / (2^k - 1)
+            full_children = ((n >> (k - 1)) << (k - 1)) - start
+            u = np.concatenate((np.full(full_children, 1.0 / (size - 1)), u))
+            scale = 1.0 + u.sum()
+            w[start:] -= u * (w[start:].sum() / scale)
+            u /= scale
+    np.cumsum(w, out=w)
+    w *= multiplier * math.sqrt(levels)
+    return w
 
 
 class StreamingCounter:
@@ -184,18 +232,28 @@ def release(
 
     ``"factorization"`` is ``cumsum(bits)`` plus ``_sqrt_noise``, byte for
     byte what ``StreamingCounter.step`` returns; ``"binary"`` runs
-    ``binary_mechanism_run``; ``"honaker"`` runs ``matrix_mechanism_run``
-    with ``fact``, built by ``honaker_left`` when not given.
+    ``binary_mechanism_run``; ``"honaker"`` is ``cumsum(bits)`` plus
+    ``_honaker_noise``, with no dense matrix and no limit on n.  An explicit
+    ``fact`` is accepted only with ``"honaker"`` and runs the generic
+    ``matrix_mechanism_run`` with it instead (the dense oracle path).
     """
     if kind not in MECHANISM_KINDS:
         raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
+    if fact is not None and kind != "honaker":
+        raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
     x = _check_bits(bits)
     n = x.shape[0]
-    if kind == "factorization":
-        return np.cumsum(x) + _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
     if kind == "binary":
         return binary_mechanism_run(x, budget, seed)
-    return matrix_mechanism_run(fact if fact is not None else honaker_left(n), x, budget, seed)
+    if fact is not None:
+        return matrix_mechanism_run(fact, x, budget, seed)
+    if kind == "factorization":
+        noise = _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
+    else:
+        noise = _honaker_noise(n, budget.noise_multiplier, seed)
+    # added last, so the prefix sums are not held while the noise is built
+    noise += np.cumsum(x)
+    return noise
 
 
 def monte_carlo_mse(
@@ -211,13 +269,13 @@ def monte_carlo_mse(
     Since the additive noise does not depend on the input, the worst-case
     input in the error definition can be replaced by any fixed stream; the
     harness uses the all-zeros stream.  Trial i is seeded with seed + i.
+    ``fact`` is passed on to ``release``: for ``"honaker"`` it selects the
+    dense ``matrix_mechanism_run`` path, for other kinds it is refused.
     """
     n = int(n)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if kind == "honaker" and fact is None:
-        fact = honaker_left(n)
     zeros = np.zeros(n, dtype=np.int64)
 
     per_trial = np.empty(trials)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contcount import cli
+from contcount import cli, factorization
 from contcount.cli import main
 from contcount.factorization import sqrt_coefficients, suboptimality_ratio
 from contcount.ftrl import clip, project_ball
@@ -81,6 +81,29 @@ def test_count_honaker_runs(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 5
+
+
+def test_count_honaker_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    dense = [(factorization, "honaker_left"), (factorization, "binary_gram"), (np.linalg, "inv")]
+    for owner, name in dense:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    bits = tmp_path / "bits.txt"
+    bits.write_text("".join(f"{b}\n" for b in np.random.default_rng(8).integers(0, 2, 5000)))
+    for n in (768, 5000):
+        args = ["count", "--input", str(bits), "--n", str(n), "--mechanism", "honaker"]
+        code, out, _ = run_cli(args + ["--seed", "3"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == n + 1
+    assert calls == []
 
 
 def test_count_rejects_bad_bits(tmp_path, capsys):

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from contcount.factorization import honaker_left, sqrt_coefficients, sqrt_factorization
+from contcount.factorization import (
+    expected_mse,
+    honaker_left,
+    sqrt_coefficients,
+    sqrt_factorization,
+)
 from contcount.linalg import lower_toeplitz
 from contcount.mechanism import (
     MECHANISM_KINDS,
@@ -226,8 +231,6 @@ def test_monte_carlo_matches_closed_forms():
     est, se = monte_carlo_mse("binary", 8, 20_000, BUDGET, seed=202)
     assert abs(est - 6.5 * C2) <= 3 * se
     fact = honaker_left(4)
-    from contcount.factorization import expected_mse
-
     est, se = monte_carlo_mse("honaker", 4, 20_000, BUDGET, seed=303, fact=fact)
     assert abs(est - expected_mse(fact, BUDGET, 4)) <= 3 * se
 
@@ -267,3 +270,86 @@ def test_release_rejects_bad_streams(kind, bits):
 def test_release_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         release("laplace", [0, 1], BUDGET, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["factorization", "binary"])
+def test_release_refuses_fact_it_would_ignore(kind):
+    fact = honaker_left(4)
+    with pytest.raises(ValueError, match="factorization"):
+        release(kind, [0, 1, 1, 0], BUDGET, seed=0, fact=fact)
+    with pytest.raises(ValueError, match="factorization"):
+        monte_carlo_mse(kind, 4, 2, BUDGET, seed=0, fact=fact)
+
+
+def _honaker_gap(n):
+    """Largest gap, in units of the per-round noise std, between the
+    structured Honaker release and the dense ``honaker_left`` oracle."""
+    fact = honaker_left(n)
+    std = BUDGET.noise_multiplier * fact.sensitivity * np.sqrt(
+        np.einsum("ij,ij->i", fact.left, fact.left)
+    )
+    zeros = np.zeros(n, dtype=np.int64)
+    worst = 0.0
+    for seed in (0, 1, 2**40 + 7):
+        dense = matrix_mechanism_run(fact, zeros, BUDGET, seed)
+        assert np.array_equal(release("honaker", zeros, BUDGET, seed, fact=fact), dense)
+        structured = release("honaker", zeros, BUDGET, seed)
+        worst = max(worst, float(np.max(np.abs(structured - dense) / std)))
+    return worst
+
+
+def test_honaker_release_matches_dense_oracle_small():
+    assert max(_honaker_gap(n) for n in range(1, 301)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 768, 1000, 1023, 1024, 1025, 3000, 4096])
+def test_honaker_release_matches_dense_oracle(n):
+    assert _honaker_gap(n) <= 1e-9
+
+
+def _postorder_tree(full):
+    """(level, block) of every node of the tree over ``full`` leaves, in
+    post-order, built as left subtree, right subtree, root."""
+    levels = np.zeros(1, dtype=np.int64)
+    blocks = np.zeros(1, dtype=np.int64)
+    for k in range(1, full.bit_length()):
+        right = blocks + (1 << (k - 1 - levels))
+        levels = np.concatenate((levels, levels, [k]))
+        blocks = np.concatenate((blocks, right, [0]))
+    return levels, blocks
+
+
+def _gram_apply(w, full):
+    """R^T R w, one tree level at a time: each node's leaf sum is added
+    back to its leaves."""
+    n = w.shape[0]
+    padded = np.zeros(full)
+    padded[:n] = w
+    out = np.zeros(n)
+    for k in range(full.bit_length()):
+        sums = padded.reshape(-1, 1 << k).sum(axis=1)
+        out += np.repeat(sums, 1 << k)[:n]
+    return out
+
+
+@pytest.mark.parametrize("n", [4097, 2**17 + 3])
+def test_honaker_release_solves_normal_equations_beyond_dense_limit(n):
+    full = 1 << (n - 1).bit_length()
+    seed = 31
+    z = _generator(seed).standard_normal(2 * full - 1)
+    levels, blocks = _postorder_tree(full)
+    rtz = np.zeros(n)
+    for k in range(full.bit_length()):
+        at_level = np.zeros(full >> k)
+        at_level[blocks[levels == k]] = z[levels == k]
+        rtz += np.repeat(at_level, 1 << k)[:n]
+    sigma = BUDGET.noise_multiplier * math.sqrt(full.bit_length())
+    e = release("honaker", np.zeros(n, dtype=np.int64), BUDGET, seed) / sigma
+    w = np.diff(e, prepend=0.0)
+    assert np.linalg.norm(_gram_apply(w, full) - rtz) <= 1e-9 * np.linalg.norm(rtz)
+
+
+@pytest.mark.parametrize("n, seed", [(8, 404), (100, 505)])
+def test_monte_carlo_honaker_structured_matches_closed_form(n, seed):
+    est, se = monte_carlo_mse("honaker", n, 4000, BUDGET, seed)
+    assert abs(est - expected_mse(honaker_left(n), BUDGET, n)) <= 4 * se
