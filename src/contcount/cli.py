@@ -8,10 +8,11 @@ Subcommands:
 * ``certify`` - factorization-norm bounds and dual certificate for a CSV matrix
 * ``ftrl``    - multi-seed DP-FTRL regret experiment
 
-Every command is deterministic given its flags (and seed).  CSV output
-carries a header row; floats are printed with 17 significant digits.
-``count`` and ``coeffs`` format and write their rows ``CHUNK_ROWS`` at a
-time, so their memory does not grow with one string per row.
+Every command is deterministic given its flags (and seed).  Each one
+computes numpy columns from library calls and hands them to one CSV writer,
+``_emit_columns``: a header row, then rows formatted and written
+``CHUNK_ROWS`` at a time (memory does not grow with one string per row),
+floats with 17 significant digits, to stdout or to the ``--out`` file.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
@@ -21,7 +22,6 @@ import argparse
 import contextlib
 import io
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,6 @@ _BYTE_CLASS[[10, 13]] = 2
 _BYTE_CLASS[[48, 49]] = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -56,25 +52,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@contextlib.contextmanager
-def _output(out_path: str | None):
-    if out_path is None or out_path == "-":
-        yield sys.stdout
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-def _emit(lines, out_path: str | None) -> None:
-    with _output(out_path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _emit_columns(header: str, row_format: str, columns, out_path: str | None) -> None:
     """Write ``header`` and one ``row_format % row`` line per row of the
-    equal-length ``columns``, formatting and writing CHUNK_ROWS rows at a time."""
+    equal-length ``columns``, formatting and writing CHUNK_ROWS rows at a time,
+    to stdout when ``out_path`` is None or ``-``, else to that file."""
     n, width = len(columns[0]), len(columns)
-    with _output(out_path) as fh:
+    to_stdout = out_path is None or out_path == "-"
+    sink = contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8")
+    with sink as fh:
         fh.write(header + "\n")
         for start in range(0, n, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, n)
@@ -153,70 +138,25 @@ def cmd_count(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One octave of the closed-form mechanism comparison."""
-
-    n: int
-    eps_fact: float
-    eps_bin: float
-    delta: float
-    err_fact_upper: float
-    err_lower_matrix_mech: float
-    err_binary_expected: float
-
-    @property
-    def ratio_binary_over_fact(self) -> float:
-        return self.err_binary_expected / self.err_fact_upper
-
-    def __post_init__(self):
-        if self.err_lower_matrix_mech > self.err_fact_upper:
-            raise ValueError("lower bound exceeds the guaranteed upper bound")
-
-    def as_csv(self) -> str:
-        return ",".join(
-            [
-                str(self.n),
-                _fmt(self.eps_fact),
-                _fmt(self.eps_bin),
-                _fmt(self.delta),
-                _fmt(self.err_fact_upper),
-                _fmt(self.err_lower_matrix_mech),
-                _fmt(self.err_binary_expected),
-                _fmt(self.ratio_binary_over_fact),
-            ]
-        )
-
-
-def comparison_rows(n_max: int, eps_fact: float, eps_bin: float, delta: float):
-    fact_budget = _budget(eps_fact, delta)
-    bin_budget = _budget(eps_bin, delta)
-    rows = []
-    k = 1
-    while 2**k <= n_max:
-        n = 2**k
-        rows.append(
-            ComparisonRow(
-                n=n,
-                eps_fact=eps_fact,
-                eps_bin=eps_bin,
-                delta=delta,
-                err_fact_upper=workload.err_upper_bound(n, fact_budget),
-                err_lower_matrix_mech=workload.err_lower_bound_matrix_mech(n, fact_budget),
-                err_binary_expected=workload.binary_expected_err(n, bin_budget),
-            )
-        )
-        k += 1
-    return rows
-
-
 def cmd_compare(args) -> int:
-    lines = [
+    fact_budget = _budget(args.eps_fact, args.delta)
+    bin_budget = _budget(args.eps_bin, args.delta)
+    ns = [2**k for k in range(1, args.n_max.bit_length())]
+    upper = np.array([workload.err_upper_bound(n, fact_budget) for n in ns])
+    lower = np.array([workload.err_lower_bound_matrix_mech(n, fact_budget) for n in ns])
+    binary = np.array([workload.binary_expected_err(n, bin_budget) for n in ns])
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds the guaranteed upper bound")
+    with np.errstate(divide="ignore", invalid="ignore"):  # --eps-fact inf: a zero bound
+        ratio = binary / upper
+    flags = [np.full(len(ns), value) for value in (args.eps_fact, args.eps_bin, args.delta)]
+    # object dtype: every n stays a Python int (numpy would make 2**63..2**64-1 floats)
+    columns = [np.array(ns, dtype=object), *flags, upper, lower, binary, ratio]
+    header = (
         "n,eps_fact,eps_bin,delta,err_fact_upper,err_lower_matrix_mech,"
         "err_binary_expected,ratio_binary_over_fact"
-    ]
-    lines += [row.as_csv() for row in comparison_rows(args.n_max, args.eps_fact, args.eps_bin, args.delta)]
-    _emit(lines, args.out)
+    )
+    _emit_columns(header, "%d" + ",%.17g" * 7 + "\n", columns, args.out)
     return 0
 
 
@@ -226,25 +166,24 @@ def cmd_certify(args) -> int:
     cert = certificates.build_svd_certificate(matrix)
     feasible, objective = certificates.verify_certificate(matrix, cert)
     lower = cert.claimed_objective  # gamma_lower, from the certificate's own SVD
-    lines = [
-        "lower_bound,upper_bound,feasible,objective",
-        f"{_fmt(lower)},{_fmt(upper)},{str(feasible).lower()},{_fmt(objective)}",
-    ]
-    _emit(lines, args.out)
+    row = [lower, upper, str(feasible).lower(), objective]
+    header = "lower_bound,upper_bound,feasible,objective"
+    _emit_columns(header, "%.17g,%.17g,%s,%.17g\n", [np.array([v]) for v in row], args.out)
     return 0
 
 
 def cmd_ftrl(args) -> int:
     budget = _budget(args.eps, args.delta)
-    lines = ["seed,regret,bound"]
-    for i in range(args.seeds_count):
-        seed = args.seed + i
+    # object dtype: seeds at or beyond 2**63 stay exact Python ints, not floats
+    seeds = np.array([args.seed + i for i in range(args.seeds_count)], dtype=object)
+    regret, bound = np.empty(len(seeds)), np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
         task = logistic_task(args.n, args.d, seed)
         report = run_dp_ftrl_logistic(
             task, budget, seed + _NOISE_SEED_OFFSET, kappa=args.kappa, radius=args.radius
         )
-        lines.append(f"{seed},{_fmt(report.regret)},{_fmt(report.bound)}")
-    _emit(lines, args.out)
+        regret[i], bound[i] = report.regret, report.bound
+    _emit_columns("seed,regret,bound", "%d,%.17g,%.17g\n", [seeds, regret, bound], args.out)
     return 0
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .workload import counting_matrix
+from .workload import _upper_log_factor, counting_matrix
 
 __all__ = [
     "DENSE_LIMIT",
@@ -47,8 +47,6 @@ __all__ = [
     "binary_right_factor",
     "binary_left_factor",
     "binary_gram",
-    "dyadic_decomposition",
-    "postorder_index",
     "honaker_left",
     "residual",
     "expected_mse",
@@ -83,15 +81,12 @@ class Factorization:
 
     left: np.ndarray = field(repr=False)
     right: np.ndarray = field(repr=False)
-    kind: str
 
     def __post_init__(self):
         if self.left.shape[1] != self.right.shape[0]:
             raise ValueError(
                 f"inner dimensions disagree: {self.left.shape} vs {self.right.shape}"
             )
-        if self.kind not in ("sqrt_toeplitz", "binary", "honaker"):
-            raise ValueError(f"unknown factorization kind {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -169,51 +164,7 @@ def sqrt_factorization(n: int) -> Factorization:
     """Dense L = R = lower-triangular Toeplitz factorization of the counting matrix."""
     n = _dense_guard(n, "sqrt")
     mat = linalg.lower_toeplitz(sqrt_coefficients(n).coeffs)
-    return Factorization(left=mat, right=mat, kind="sqrt_toeplitz")
-
-
-def dyadic_decomposition(t: int) -> list[tuple[int, int]]:
-    """Decompose [1, t] into maximal dyadic blocks, left to right.
-
-    Each block (a, b) is aligned (a = j*2^k + 1, b = (j+1)*2^k) so it is a
-    node of the complete binary tree; there are popcount(t) blocks.
-    """
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    blocks = []
-    start = 1
-    remaining = t
-    for bit in reversed(range(t.bit_length())):
-        size = 1 << bit
-        if remaining >= size:
-            blocks.append((start, start + size - 1))
-            start += size
-            remaining -= size
-    return blocks
-
-
-def postorder_index(a: int, b: int, n: int) -> int:
-    """Post-order index (0-based) of the tree node covering [a, b].
-
-    The tree is the complete binary tree over leaves 1..n (n a power of
-    two); nodes are numbered left subtree, right subtree, then root, which
-    matches the recursive construction of the binary right factor.
-    """
-    if n & (n - 1) or n < 1:
-        raise ValueError(f"tree size must be a power of two, got {n}")
-    lo, hi, offset = 1, n, 0
-    while True:
-        if (a, b) == (lo, hi):
-            return offset + 2 * (hi - lo + 1) - 2
-        mid = (lo + hi) // 2
-        if b <= mid:
-            hi = mid
-        elif a > mid:
-            offset += 2 * (mid - lo + 1) - 1
-            lo = mid + 1
-        else:
-            raise ValueError(f"[{a}, {b}] is not a node of the tree over [1, {n}]")
+    return Factorization(left=mat, right=mat)
 
 
 def _next_pow2(n: int) -> int:
@@ -282,9 +233,7 @@ def binary_factorization(n: int) -> Factorization:
     For n not a power of two the tree is built at the next power of two
     and truncated to the first n rows/columns.
     """
-    return Factorization(
-        left=binary_left_factor(n), right=binary_right_factor(n), kind="binary"
-    )
+    return Factorization(left=binary_left_factor(n), right=binary_right_factor(n))
 
 
 def binary_gram(n: int) -> np.ndarray:
@@ -325,7 +274,7 @@ def honaker_left(n: int) -> Factorization:
         starts = np.minimum(ends - (1 << k), n)
         left_t[_postorder_nodes(ends, k)] = prefix[np.minimum(ends, n)] - prefix[starts]
     left = np.ascontiguousarray(left_t.T)
-    return Factorization(left=left, right=r, kind="honaker")
+    return Factorization(left=left, right=r)
 
 
 def residual(fact: Factorization) -> float:
@@ -359,4 +308,4 @@ def suboptimality_ratio(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = math.log2(n)
-    return m * (1.0 + m) / (2.0 * (1.0 + math.log(4.0 * n / 5.0) / math.pi) ** 2)
+    return m * (1.0 + m) / (2.0 * _upper_log_factor(n) ** 2)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanism import PrivacyBudget, _sqrt_noise
+from .workload import _upper_log_factor
 
 __all__ = [
     "clip",
@@ -36,6 +37,11 @@ __all__ = [
     "minimize_logistic_in_ball",
     "run_dp_ftrl_logistic",
 ]
+
+
+# Stopping rule of ``minimize_logistic_in_ball``.
+_ORACLE_TOL = 1e-8
+_ORACLE_MAX_ITER = 200_000
 
 
 def clip(g, kappa: float) -> np.ndarray:
@@ -59,10 +65,6 @@ def project_ball(v, radius: float) -> np.ndarray:
     return v * (radius / norm)
 
 
-def _log_factor(n: int) -> float:
-    return 1.0 + math.log(4.0 * n / 5.0) / math.pi
-
-
 def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float) -> float:
     """Regularization strength balancing the regret bound, with the feasible
     radius standing in for the unknowable norm of the post-hoc optimum:
@@ -73,7 +75,7 @@ def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: flo
         raise ValueError(f"radius must be positive, got {radius}")
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
-    return math.sqrt(2.0 * n * _log_factor(n) * width) / radius
+    return math.sqrt(2.0 * n * _upper_log_factor(n) * width) / radius
 
 
 def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float) -> float:
@@ -83,7 +85,7 @@ def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: fl
     """
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
-    return radius * math.sqrt(_log_factor(n) * width / (2.0 * n))
+    return radius * math.sqrt(_upper_log_factor(n) * width / (2.0 * n))
 
 
 class DpFtrlLearner:
@@ -187,15 +189,12 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def logistic_task(
-    n: int, d: int, seed: int, flip_prob: float = 0.25, signal_scale: float = 1.0
-) -> LogisticTask:
+def logistic_task(n: int, d: int, seed: int, flip_prob: float = 0.25) -> LogisticTask:
     """Generate a synthetic binary-classification stream.
 
     Inputs are uniform in the unit ball; labels follow the sign of a fixed
-    random direction (scaled by ``signal_scale``) and flip independently
-    with probability ``flip_prob``.  ``flip_prob=0`` yields linearly
-    separable data.
+    random direction and flip independently with probability ``flip_prob``.
+    ``flip_prob=0`` yields linearly separable data.
     """
     n, d = int(n), int(d)
     if n < 1 or d < 1:
@@ -208,20 +207,19 @@ def logistic_task(
     xs = rng.standard_normal((n, d))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     xs *= rng.uniform(size=(n, 1)) ** (1.0 / d)
-    ys = np.sign(xs @ (signal_scale * direction))
+    ys = np.sign(xs @ direction)
     ys[ys == 0] = 1.0
     flips = rng.uniform(size=n) < flip_prob
     ys[flips] *= -1.0
     return LogisticTask(xs=xs, ys=ys)
 
 
-def minimize_logistic_in_ball(
-    task: LogisticTask, radius: float, tol: float = 1e-8, max_iter: int = 200_000
-) -> np.ndarray:
+def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
     """Post-hoc optimum of the average logistic loss over the radius ball.
 
     Accelerated projected gradient descent, run until the projected-gradient
-    norm ||theta - proj(theta - step * grad)|| / step drops below ``tol``.
+    norm ||theta - proj(theta - step * grad)|| / step drops below
+    ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -231,18 +229,18 @@ def minimize_logistic_in_ball(
     theta = np.zeros(task.d)
     momentum = theta.copy()
     t_acc = 1.0
-    for _ in range(max_iter):
+    for _ in range(_ORACLE_MAX_ITER):
         grad = task.avg_grad(momentum)
         nxt = project_ball(momentum - step * grad, radius)
         grad_at_theta = task.avg_grad(theta)
         mapped = (theta - project_ball(theta - step * grad_at_theta, radius)) / step
-        if np.linalg.norm(mapped) <= tol:
+        if np.linalg.norm(mapped) <= _ORACLE_TOL:
             return theta
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         momentum = nxt + ((t_acc - 1.0) / t_next) * (nxt - theta)
         theta = nxt
         t_acc = t_next
-    raise RuntimeError(f"ball-constrained optimizer did not reach tolerance {tol}")
+    raise RuntimeError(f"ball-constrained optimizer did not reach tolerance {_ORACLE_TOL}")
 
 
 def run_dp_ftrl_logistic(
@@ -251,19 +249,14 @@ def run_dp_ftrl_logistic(
     seed: int,
     kappa: float = 1.0,
     radius: float = 1.0,
-    lam: float | None = None,
-    theta_opt: np.ndarray | None = None,
 ) -> RegretReport:
     """Run DP-FTRL over a logistic stream and report regret against the
     post-hoc in-ball optimum."""
-    learner = DpFtrlLearner(
-        task.n, task.d, budget, seed, lam=lam, kappa=kappa, radius=radius
-    )
+    learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
     incurred = 0.0
     for i in range(task.n):
         incurred += task.point_loss(learner.theta, i)
         learner.step_gradient(task.point_grad(learner.theta, i))
-    if theta_opt is None:
-        theta_opt = minimize_logistic_in_ball(task, radius)
+    theta_opt = minimize_logistic_in_ball(task, radius)
     bound = regret_bound(task.n, kappa, task.d, budget, radius)
     return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)

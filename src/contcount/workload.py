@@ -38,6 +38,17 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _upper_log_factor(n) -> float:
+    """1 + ln(4n/5)/pi: the square-root factorization's norm and error
+    guarantees, relative to sqrt(n) and to C respectively."""
+    return 1.0 + math.log(4.0 * n / 5.0) / math.pi
+
+
+def _lower_log_factor(n) -> float:
+    """2 + ln((2n+1)/5) + ln(2n+1)/(2n), the factor of the lower bounds."""
+    return 2.0 + math.log((2.0 * n + 1.0) / 5.0) + math.log(2.0 * n + 1.0) / (2.0 * n)
+
+
 def counting_matrix(n: int) -> np.ndarray:
     """The n x n lower-triangular all-ones matrix mapping a stream to its prefix sums."""
     n = _check_n(n)
@@ -80,9 +91,7 @@ def gamma_lower_bound_count(n: int) -> float:
     i.e. it bounds the norm itself, not the norm divided by sqrt(n).
     """
     n = _check_n(n)
-    return (math.sqrt(n) / math.pi) * (
-        2.0 + math.log((2.0 * n + 1.0) / 5.0) + math.log(2.0 * n + 1.0) / (2.0 * n)
-    )
+    return (math.sqrt(n) / math.pi) * _lower_log_factor(n)
 
 
 def gamma_upper_bound_count(n: int) -> float:
@@ -94,7 +103,7 @@ def gamma_upper_bound_count(n: int) -> float:
     n = 2..4096 and asserts that it stays below 1 at n = 1.
     """
     n = _check_n(n)
-    return math.sqrt(n) * (1.0 + math.log(4.0 * n / 5.0) / math.pi)
+    return math.sqrt(n) * _upper_log_factor(n)
 
 
 def err_upper_bound(n: int, budget) -> float:
@@ -107,11 +116,7 @@ def err_upper_bound(n: int, budget) -> float:
     """
     n = _check_n(n)
     c = budget.noise_multiplier
-    return c * c * (1.0 + math.log(4.0 * n / 5.0) / math.pi) ** 2
-
-
-def _lower_bound_base(n: int) -> float:
-    return (2.0 + math.log((2.0 * n + 1.0) / 5.0) + math.log(2.0 * n + 1.0) / (2.0 * n)) ** 2
+    return c * c * _upper_log_factor(n) ** 2
 
 
 def err_lower_bound_matrix_mech(n: int, budget) -> float:
@@ -121,7 +126,7 @@ def err_lower_bound_matrix_mech(n: int, budget) -> float:
     """
     n = _check_n(n)
     c = budget.noise_multiplier
-    return (c * c / math.pi**2) * _lower_bound_base(n)
+    return (c * c / math.pi**2) * _lower_log_factor(n) ** 2
 
 
 def binary_expected_err(n: int, budget) -> float:
@@ -148,7 +153,7 @@ def err_lower_bound_any_mechanism(n: int, epsilon: float, oblivious: bool = Fals
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rate = 2.0 if oblivious else 4.0
     pref = 1.0 / (math.expm1(rate * epsilon)) ** 2
-    return (pref / math.pi**2) * _lower_bound_base(n)
+    return (pref / math.pi**2) * _lower_log_factor(n) ** 2
 
 
 def hadamard(d: int) -> np.ndarray:
@@ -180,21 +185,10 @@ def parity_workload(d: int, w: int) -> np.ndarray:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 1 <= w <= d:
         raise ValueError(f"w must satisfy 1 <= w <= d, got w={w}, d={d}")
-    cols = np.arange(2**d, dtype=np.int64)
-    rows = []
-    for subset in combinations(range(d), w):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        bits = cols & mask
-        # parity of popcount(mask & col) decides the sign
-        par = np.zeros_like(cols)
-        x = bits
-        while np.any(x):
-            par ^= x & 1
-            x >>= 1
-        rows.append(1.0 - 2.0 * par.astype(np.float64))
-    return np.array(rows)
+    masks = np.array([sum(1 << i for i in subset) for subset in combinations(range(d), w)])
+    # parity of popcount(mask & col) decides the sign
+    parity = np.bitwise_count(masks[:, None] & np.arange(2**d, dtype=np.int64)) & 1
+    return 1.0 - 2.0 * parity.astype(np.float64)
 
 
 def parity_gamma_lower(d: int, w: int) -> float:

@@ -1,7 +1,9 @@
+import functools
 import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contcount import cli, factorization
+from contcount import certificates, cli, factorization, workload
 from contcount.cli import main
 from contcount.factorization import sqrt_coefficients, suboptimality_ratio
-from contcount.ftrl import clip, project_ball
+from contcount.ftrl import clip, logistic_task, project_ball, run_dp_ftrl_logistic
 from contcount.linalg import write_matrix_csv
 from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, release
 from contcount.workload import counting_matrix
@@ -296,23 +298,30 @@ def test_floats_round_trip_17_digits(capsys):
         assert float(value) == coeffs[int(k)]
 
 
-def test_comparison_row_invariant():
-    from contcount.cli import ComparisonRow, comparison_rows
+def test_comparison_row_invariant(capsys, monkeypatch):
+    args = ["compare", "--n-max", "1024", "--eps-fact", "0.3", "--eps-bin", "0.8"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [2**k for k in range(1, 11)]
+    assert all(float(row[-1]) > 0 for row in rows)
+    lower = workload.err_lower_bound_matrix_mech
 
-    rows = comparison_rows(1024, 0.3, 0.8, 1e-10)
-    assert [row.n for row in rows] == [2**k for k in range(1, 11)]
-    for row in rows:
-        assert row.ratio_binary_over_fact > 0
-    with pytest.raises(ValueError):
-        ComparisonRow(
-            n=2,
-            eps_fact=1.0,
-            eps_bin=1.0,
-            delta=1e-10,
-            err_fact_upper=1.0,
-            err_lower_matrix_mech=2.0,
-            err_binary_expected=3.0,
-        )
+    def lower_above_upper_at_8(n, budget):
+        return 2.0 * workload.err_upper_bound(n, budget) if n == 8 else lower(n, budget)
+
+    monkeypatch.setattr(workload, "err_lower_bound_matrix_mech", lower_above_upper_at_8)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert err == "contcount: error: lower bound exceeds the guaranteed upper bound\n"
+
+
+def test_compare_zero_noise_ratio_is_infinite(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division warning either
+        code, out, err = run_cli(["compare", "--n-max", "4", "--eps-fact", "inf"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["inf", "inf"]
 
 
 def test_module_entry_point():
@@ -469,3 +478,92 @@ def test_count_reads_stdin(tmp_path, capsys):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == want
     assert [line.split(",")[:2] for line in want.splitlines()[1:]] == [["1", "1"], ["2", "1"], ["3", "2"]]
+
+
+# Line builders of the earlier per-row writers of ``compare``, ``certify`` and
+# ``ftrl``: the chunked writer must reproduce their bytes.
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _reference_compare_csv(n_max, eps_fact, eps_bin, delta):
+    fact = PrivacyBudget(eps_fact, delta, allow_large_epsilon=True)
+    binary = PrivacyBudget(eps_bin, delta, allow_large_epsilon=True)
+    lines = [
+        "n,eps_fact,eps_bin,delta,err_fact_upper,err_lower_matrix_mech,"
+        "err_binary_expected,ratio_binary_over_fact"
+    ]
+    k = 1
+    while 2**k <= n_max:
+        n = 2**k
+        upper = workload.err_upper_bound(n, fact)
+        lower = workload.err_lower_bound_matrix_mech(n, fact)
+        expected = workload.binary_expected_err(n, binary)
+        cells = [eps_fact, eps_bin, delta, upper, lower, expected, expected / upper]
+        lines.append(",".join([str(n)] + [_fmt(x) for x in cells]))
+        k += 1
+    return "\n".join(lines) + "\n"
+
+
+def _reference_certify_csv(path):
+    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    upper = certificates.gamma_upper(matrix)
+    cert = certificates.build_svd_certificate(matrix)
+    feasible, objective = certificates.verify_certificate(matrix, cert)
+    row = f"{_fmt(cert.claimed_objective)},{_fmt(upper)},{str(feasible).lower()},{_fmt(objective)}"
+    return "lower_bound,upper_bound,feasible,objective\n" + row + "\n"
+
+
+def _reference_ftrl_csv(n, d, seed, count):
+    budget = PrivacyBudget(1.0, 1e-6, allow_large_epsilon=True)
+    lines = ["seed,regret,bound"]
+    for s in range(seed, seed + count):
+        report = run_dp_ftrl_logistic(logistic_task(n, d, s), budget, s + 2**32)
+        lines.append(f"{s},{_fmt(report.regret)},{_fmt(report.bound)}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_outcome(args, reference, tmp_path, capsys):
+    """``args`` writes what ``reference()`` builds, to stdout and to ``--out``,
+    or, where ``reference()`` raises ValueError, exits 1 with its message and
+    writes nothing."""
+    try:
+        want, message = reference(), None
+    except ValueError as exc:
+        want, message = "", f"contcount: error: {exc}\n"
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == ((0, want, "") if message is None else (1, "", message))
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(args + ["--out", str(path)], capsys)
+    if message is None:
+        assert (code, out, err) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+    else:
+        assert (code, out, err) == (1, "", message)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 2**30, 2**64, 2**70])
+def test_compare_matches_row_builder(tmp_path, capsys, n_max):
+    args = ["compare", "--n-max", str(n_max), "--eps-fact", "0.3", "--eps-bin", "0.8"]
+    want = functools.partial(_reference_compare_csv, n_max, 0.3, 0.8, 1e-10)
+    _assert_same_outcome(args, want, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.random.default_rng(8).normal(size=(40, 25)), counting_matrix(16), np.zeros((1, 1))],
+    ids=["random-40x25", "counting-16", "zero-1x1"],
+)
+def test_certify_matches_row_builder(tmp_path, capsys, matrix):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, matrix)
+    args = ["certify", "--matrix", str(path)]
+    _assert_same_outcome(args, functools.partial(_reference_certify_csv, path), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed,count", [(0, 3), (2**70, 2), (-3, 3), (2**63 - 1, 2)])
+def test_ftrl_matches_row_builder(tmp_path, capsys, seed, count):
+    args = ["ftrl", "--n", "48", "--d", "3", "--seed", str(seed), "--seeds-count", str(count)]
+    want = functools.partial(_reference_ftrl_csv, 48, 3, seed, count)
+    _assert_same_outcome(args, want, tmp_path, capsys)

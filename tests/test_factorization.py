@@ -11,12 +11,10 @@ from contcount.factorization import (
     binary_left_factor,
     binary_right_factor,
     double_factorial_ratio,
-    dyadic_decomposition,
     expected_mse,
     factor_frobenius_sq,
     factor_row_norm_sq,
     honaker_left,
-    postorder_index,
     residual,
     sqrt_coefficients,
     sqrt_factorization,
@@ -25,6 +23,7 @@ from contcount.factorization import (
 from contcount.linalg import col_norm_1to2, frobenius_norm, pseudoinverse
 from contcount.mechanism import PrivacyBudget
 from contcount.workload import counting_matrix, err_upper_bound
+from tree_oracles import dyadic_decomposition, postorder_index
 
 BUDGET = PrivacyBudget(1.0, 1e-10)
 C2 = BUDGET.noise_multiplier**2
@@ -224,7 +223,7 @@ def test_residual_detects_corruption():
     corrupted[3, 0] += 0.7
     from contcount.factorization import Factorization
 
-    bad = Factorization(left=corrupted, right=fact.right, kind="sqrt_toeplitz")
+    bad = Factorization(left=corrupted, right=fact.right)
     assert residual(bad) > 0.5
     assert residual(sqrt_factorization(64)) <= 6.4e-9
 

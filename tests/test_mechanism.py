@@ -140,7 +140,7 @@ def test_binary_mechanism_matches_dense_oracle():
 
 def _binary_mechanism_loop(x, budget, seed):
     """Round-by-round binary mechanism: the reference for the level-by-level one."""
-    from contcount.factorization import dyadic_decomposition, postorder_index
+    from tree_oracles import dyadic_decomposition, postorder_index
 
     n = x.shape[0]
     full = 1 << max(0, (n - 1).bit_length())

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -156,6 +157,11 @@ def test_parity_rows_are_hadamard_rows():
     m = parity_workload(3, 1)
     # subsets {1}, {2}, {3} pick Hadamard rows 1, 2, 4
     assert np.array_equal(m, h[[1, 2, 4]])
+    for d in range(1, 9):
+        h = hadamard(d)
+        for w in range(1, d + 1):
+            masks = [sum(2**i for i in subset) for subset in combinations(range(d), w)]
+            assert np.array_equal(parity_workload(d, w), h[masks])
 
 
 def test_parity_flat_spectrum():
