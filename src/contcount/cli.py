@@ -45,10 +45,33 @@ _BYTE_CLASS[[10, 13]] = 2
 _BYTE_CLASS[[48, 49]] = 3
 
 
+# Largest ``compare --n-max``: its octaves then end at n = 2^1014.  From
+# n = 2^1015 on, ``workload.binary_expected_err`` turns the integer
+# n log2(n) into a float, which overflows.
+N_MAX_LIMIT = 2**1015 - 1
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
+def _n_max(text: str) -> int:
+    value = _positive_int(text)
+    if value > N_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"at most 2**1015 - 1 is accepted (the closed forms overflow float64 "
+            f"from n = 2**1015), got {text}"
+        )
     return value
 
 
@@ -204,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--mechanism", choices=MECHANISM_KINDS, default="factorization")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("compare", help="closed-form error comparison at n = 2^k")
-    p.add_argument("--n-max", type=_positive_int, required=True)
+    p.add_argument("--n-max", type=_n_max, required=True)
     p.add_argument("--eps-fact", type=float, default=1.0)
     p.add_argument("--eps-bin", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-10)
@@ -227,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--seeds-count", type=_positive_int, default=1)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)

@@ -186,16 +186,16 @@ def _postorder_nodes(ends: np.ndarray, level: int) -> np.ndarray:
 def _dyadic_blocks(n: int):
     """The dyadic decompositions of [1, t] for every t in 1..n, by level.
 
-    Yields (k, rounds, ends, nodes) from the largest block size 2^k down to
-    1: ``rounds`` are the t with bit k set, whose decomposition holds the
-    block of size 2^k ending at ``ends`` = (t >> k) << k, and ``nodes`` are
-    those blocks' post-order indices in the tree over the next power of two.
+    Yields (k, starts, nodes) from the largest block size 2^k down to 1.
+    The t with bit k set come in runs of 2^k consecutive rounds, and every
+    round of the run that starts at s holds the block of size 2^k ending
+    at s = (t >> k) << k.  ``starts`` are the runs starting at or before n
+    (the last may pass n), and ``nodes`` their blocks' post-order indices
+    in the tree over the next power of two.
     """
-    t = np.arange(1, n + 1, dtype=np.int64)
     for k in reversed(range(_next_pow2(n).bit_length())):
-        rounds = t[(t >> k) & 1 == 1]
-        ends = (rounds >> k) << k
-        yield k, rounds, ends, _postorder_nodes(ends, k)
+        starts = np.arange(1 << k, n + 1, 2 << k, dtype=np.int64)
+        yield k, starts, _postorder_nodes(starts, k)
 
 
 def binary_right_factor(n: int) -> np.ndarray:
@@ -222,8 +222,10 @@ def binary_left_factor(n: int) -> np.ndarray:
     """
     n = _dense_guard(n, "binary")
     out = np.zeros((n, 2 * _next_pow2(n) - 1))
-    for _, rounds, _, nodes in _dyadic_blocks(n):
-        out[rounds - 1, nodes] = 1.0
+    for k, starts, nodes in _dyadic_blocks(n):
+        rounds = starts[:, None] + np.arange(1 << k)
+        inside = rounds <= n
+        out[rounds[inside] - 1, np.broadcast_to(nodes[:, None], rounds.shape)[inside]] = 1.0
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import PrivacyBudget, _sqrt_noise
+from .mechanism import PrivacyBudget, _normals, _sqrt_noise
 from .workload import _upper_log_factor
 
 __all__ = [
@@ -119,7 +119,9 @@ class DpFtrlLearner:
         self.grad_prefix = np.zeros(d)
         self.theta = np.zeros(d)
 
-        self.noise = _sqrt_noise(n, budget.noise_multiplier * kappa, seed, d)
+        # standard_normal((n, d)) from PCG64(seed); column j is the noise of coordinate j
+        self.noise = _normals(seed, 1, n * d).reshape(n, d)
+        _sqrt_noise(self.noise.T, budget.noise_multiplier * kappa)
 
     def step_gradient(self, g) -> np.ndarray:
         """Consume the round-t gradient (evaluated at the current iterate)
@@ -166,14 +168,15 @@ class LogisticTask:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    def point_loss(self, theta, i: int) -> float:
-        margin = self.ys[i] * float(self.xs[i] @ theta)
-        return float(np.logaddexp(0.0, -margin))
-
-    def point_grad(self, theta, i: int) -> np.ndarray:
+    def point_loss_grad(self, theta, i: int) -> tuple[float, np.ndarray]:
+        """Loss and gradient at theta on example i, from one margin."""
         margin = self.ys[i] * float(self.xs[i] @ theta)
         # d/dtheta ln(1 + e^(-m)) = -sigmoid(-m) * y * x
-        return -(self.ys[i] * _sigmoid(-margin)) * self.xs[i]
+        grad = -(self.ys[i] * _sigmoid(-margin)) * self.xs[i]
+        return float(np.logaddexp(0.0, -margin)), grad
+
+    def point_grad(self, theta, i: int) -> np.ndarray:
+        return self.point_loss_grad(theta, i)[1]
 
     def avg_loss(self, theta) -> float:
         margins = self.ys * (self.xs @ theta)
@@ -255,8 +258,9 @@ def run_dp_ftrl_logistic(
     learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
     incurred = 0.0
     for i in range(task.n):
-        incurred += task.point_loss(learner.theta, i)
-        learner.step_gradient(task.point_grad(learner.theta, i))
+        loss, grad = task.point_loss_grad(learner.theta, i)
+        incurred += loss
+        learner.step_gradient(grad)
     theta_opt = minimize_logistic_in_ball(task, radius)
     bound = regret_bound(task.n, kappa, task.d, budget, radius)
     return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)

@@ -1,10 +1,13 @@
 """Private counting mechanisms and their Monte-Carlo error harness.
 
-Every mechanism releases the exact prefix sums plus correlated noise L z:
-``release`` maps a mechanism name to code, ``_sqrt_noise`` draws all
-square-root Toeplitz noise and ``_honaker_noise`` Honaker's tree noise, with
-no dense matrix.  ``matrix_mechanism_run`` runs an explicit dense
-factorization; ``release`` uses it only when handed one for ``"honaker"``.
+Every mechanism releases the exact prefix sums plus correlated noise L z.
+Each has one function from a (b, width) block of standard normals, one
+row per release, to b outputs: ``_sqrt_noise`` (square-root Toeplitz),
+``_binary_counts`` (the tree), ``_honaker_noise`` (Honaker's tree
+estimator, with no dense matrix) and ``_matrix_counts`` (an explicit
+dense factorization, which ``release`` uses only when handed one for
+``"honaker"``).  ``release`` runs them on one row, ``monte_carlo_mse`` on
+blocks of trials.
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -14,9 +17,16 @@ s * C(eps, delta), where
 
 Randomness contract: all mechanisms draw from ``numpy.random.Generator``
 seeded with ``PCG64(seed)`` and use ``standard_normal`` (ziggurat), so a
-fixed seed reproduces outputs bit-for-bit.  Monte-Carlo trials use derived
-seeds ``seed + trial_index`` so serial and parallel runs aggregate
-identically.
+fixed seed reproduces outputs bit-for-bit.  Monte-Carlo trial i draws the
+row ``release`` would draw from ``seed + i``, so serial and parallel runs
+aggregate identically.  The trials are mapped in blocks of at most
+``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
+loop of one ``release`` per trial: each row goes through the same 1-D
+operations.  So square-root rows are convolved one at a time (a 2-D FFT
+over the block rounds differently from the 1-D one), dense blocks use a
+stacked ``matmul``, one matrix-vector product per row (a matrix-matrix
+product rounds differently), and every sum runs along a row (numpy sums a
+row pairwise, but sums down a column one element at a time).
 """
 
 from __future__ import annotations
@@ -45,6 +55,10 @@ __all__ = [
 ]
 
 MECHANISM_KINDS = ("factorization", "binary", "honaker")
+
+# Most standard normals ``monte_carlo_mse`` holds in one block of trials
+# (2 MB of float64), so its memory does not grow with trials * n.
+_BLOCK_VALUES = 2**18
 
 
 def noise_multiplier(epsilon: float, delta: float) -> float:
@@ -101,24 +115,33 @@ def _check_bits(bits) -> np.ndarray:
     return x
 
 
-def _sqrt_noise(n: int, multiplier: float, seed: int, d: int = 1) -> np.ndarray:
-    """Square-root factorization noise L G, G ~ N(0, I) of shape (n, d) from
-    ``PCG64(seed)``, scaled after the convolution by ``multiplier * ||R||_{1->2}``."""
-    coeffs = sqrt_coefficients(n).coeffs
-    g = _generator(seed).standard_normal((n, d))
-    # each column's convolution overwrites its normals, so no n x d copy is made
-    for j in range(d):
-        g[:, j] = toeplitz_lower_matvec(coeffs, g[:, j])
+def _normals(seed: int, rows: int, width: int) -> np.ndarray:
+    """(rows, width) standard normals; row i is ``standard_normal(width)``
+    from ``PCG64(seed + i)``."""
+    z = np.empty((rows, width))
+    for i, row in enumerate(z):
+        _generator(seed + i).standard_normal(out=row)
+    return z
+
+
+def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
+    """Square-root factorization noise, in place: each row of the (b, n)
+    normals ``g`` becomes L g_row, then all are scaled by
+    ``multiplier * ||R||_{1->2}``.  Returns ``g``."""
+    coeffs = sqrt_coefficients(g.shape[-1]).coeffs
+    # one row at a time: a 2-D FFT over rows would not match the 1-D one bit for bit
+    for row in g:
+        row[...] = toeplitz_lower_matvec(coeffs, row)
     g *= multiplier * math.sqrt(float(np.sum(coeffs**2)))
     return g
 
 
-def _honaker_noise(n: int, multiplier: float, seed: int) -> np.ndarray:
-    """Honaker noise sigma M G^-1 R^T z for z ~ N(0, I) of length 2n' - 1
-    from ``PCG64(seed)``, with R the binary strategy matrix, G = R^T R, M the
+def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
+    """Honaker noise sigma M G^-1 R^T z_row for each row of the (b, 2n' - 1)
+    normals ``z``, with R the binary strategy matrix, G = R^T R, M the
     counting matrix and sigma = multiplier * sqrt(1 + log2(n')), as in
-    ``binary_mechanism_run``.  No matrix is formed: O(n log n) time, O(n)
-    memory.
+    ``_binary_counts``.  Returns a (b, n) array.  No matrix is
+    formed: O(n log n) time and O(n) memory per row.
 
     R^T z adds to each leaf the values of its ancestors.  Post-order lists
     a tree as its left subtree, its right subtree, then its root, so the
@@ -129,32 +152,114 @@ def _honaker_noise(n: int, multiplier: float, seed: int) -> np.ndarray:
     Sherman-Morrison, w -= u (1^T w) / (1 + 1^T u) and u /= 1 + 1^T u.  On
     a full node u is the constant 1 / (2^(k+1) - 1), so a level of full
     nodes is one row sum; only the last, ragged node keeps a vector u.
+    Every sum runs over the last, contiguous axis, so a row's result does
+    not depend on the rows beside it.
     """
+    rows = z.shape[0]
     full = _next_pow2(n)
     levels = full.bit_length()
-    tree = _generator(seed).standard_normal(2 * full - 1)[None, :]
+    tree = z  # one subtree per row of tree, row-major over the rows of z
     w = tree[:, -1]
     while tree.shape[1] > 1:
         tree = tree[:, :-1].reshape(-1, tree.shape[1] // 2)
         w = np.repeat(w, 2) + tree[:, -1]
-    w = w[:n]  # leaves past n are not columns of R
+    w = w.reshape(rows, full)[:, :n]  # leaves past n are not columns of R
     u = np.empty(0)  # u on the leaves of the ragged node of the level below
     for k in range(1, levels):
         size = 1 << k
         start = (n >> k) << k  # the leaves before it lie in full nodes
         if start:
-            blocks = w[:start].reshape(-1, size)
-            blocks -= blocks.sum(axis=1, keepdims=True) / (2 * size - 1)
+            blocks = w[:, :start].reshape(rows, -1, size)
+            blocks -= blocks.sum(axis=-1, keepdims=True) / (2 * size - 1)
         if start < n:
             # its full children, of size 2^(k-1), have u = 1 / (2^k - 1)
             full_children = ((n >> (k - 1)) << (k - 1)) - start
             u = np.concatenate((np.full(full_children, 1.0 / (size - 1)), u))
             scale = 1.0 + u.sum()
-            w[start:] -= u * (w[start:].sum() / scale)
+            w[:, start:] -= u * (w[:, start:].sum(axis=-1, keepdims=True) / scale)
             u /= scale
-    np.cumsum(w, out=w)
+    np.cumsum(w, axis=-1, out=w)
     w *= multiplier * math.sqrt(levels)
     return w
+
+
+def _binary_counts(x: np.ndarray, z: np.ndarray, multiplier: float) -> np.ndarray:
+    """Binary-mechanism outputs on the bits ``x`` for each row of the
+    (b, 2n' - 1) normals ``z``, which are scaled in place to the node noise.
+
+    Each round combines the popcount(t) noisy p-sums covering [1, t].  The
+    output is built one tree level at a time, largest block first, so each
+    round adds its blocks left to right; p-sums are exact differences of
+    the integer prefix sums.  At level k each run of 2^k rounds adds one
+    noisy p-sum, through a strided view of the output: run j lies in the
+    tile of columns [j 2^(k+1), (j+1) 2^(k+1)), and a last run whose tile
+    passes n is a slice.  O(n log n) vectorised work per row, with no
+    fancy indexing.
+    """
+    n = x.shape[0]
+    # max column norm of the binary strategy matrix is sqrt(1 + log2(n'))
+    z *= multiplier * math.sqrt(1.0 + math.log2(_next_pow2(n)))
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(x.astype(np.int64), out=prefix[1:])
+    rows = z.shape[0]
+    out = np.zeros((rows, n))  # round t in column t - 1
+    for k, starts, nodes in _dyadic_blocks(n):
+        size = 1 << k
+        noisy = (prefix[starts] - prefix[starts - size]).astype(np.float64) + z[:, nodes]
+        whole = n // (2 * size)  # runs whose tile fits in the n columns; at most one run is left
+        tiles = out[:, : whole * 2 * size].reshape(rows, whole, 2 * size)
+        tiles[:, :, size - 1 : 2 * size - 1] += noisy[:, :whole, None]
+        if whole < len(starts):
+            out[:, starts[whole] - 1 :] += noisy[:, whole:]
+    return out
+
+
+def _matrix_counts(fact: Factorization, x, z: np.ndarray, multiplier: float) -> np.ndarray:
+    """L (R x + z_row) for each row of the (b, p) normals ``z``, which are
+    scaled in place by ``multiplier * ||R||_{1->2}``.
+
+    The stacked ``matmul`` makes one matrix-vector product per row, the
+    same product ``fact.left @ v`` makes; one matrix-matrix product for the
+    block would round differently.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (fact.n,):
+        raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
+    z *= multiplier * fact.sensitivity
+    z += fact.right @ x
+    return np.matmul(fact.left, z[..., None])[..., 0]
+
+
+def _check_mechanism(kind: str, fact: Factorization | None) -> None:
+    if kind not in MECHANISM_KINDS:
+        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
+    if fact is not None and kind != "honaker":
+        raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
+
+
+def _draw_width(kind: str, n: int, fact: Factorization | None) -> int:
+    """Standard normals one release of ``kind`` over n rounds draws."""
+    if fact is not None:
+        return fact.right.shape[0]
+    return n if kind == "factorization" else 2 * _next_pow2(n) - 1
+
+
+def _noisy_counts(
+    kind: str, x: np.ndarray, z: np.ndarray, multiplier: float, fact: Factorization | None
+) -> np.ndarray:
+    """The (b, n) releases of mechanism ``kind`` on the bits ``x``, one per
+    row of the standard normals ``z`` (overwritten)."""
+    if kind == "binary":
+        return _binary_counts(x, z, multiplier)
+    if fact is not None:
+        return _matrix_counts(fact, x, z, multiplier)
+    if kind == "factorization":
+        noise = _sqrt_noise(z, multiplier)
+    else:
+        noise = _honaker_noise(z, multiplier, x.shape[0])
+    # added last, so the prefix sums are not held while the noise is built
+    noise += np.cumsum(x)
+    return noise
 
 
 class StreamingCounter:
@@ -176,7 +281,7 @@ class StreamingCounter:
         self.seed = int(seed)
         self.t = 0
         self.running_sum = 0
-        self.noise = _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
+        self.noise = _sqrt_noise(_normals(seed, 1, n), budget.noise_multiplier)[0]
 
     def step(self, x_t: int) -> float:
         """Consume one stream bit and return the noisy running count."""
@@ -190,39 +295,18 @@ class StreamingCounter:
 
 
 def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
-    """Run the binary (tree) mechanism over a bit stream.
+    """Run the binary (tree) mechanism over a bit stream (``_binary_counts``).
 
-    One Gaussian p-sum noise value is drawn per tree node (post-order, so a
-    shared seed reproduces the dense-factorization oracle L (R x + y)); each
-    round combines the popcount(t) noisy p-sums covering [1, t].  The
-    output is built one tree level at a time, largest block first, so each
-    round adds its blocks left to right; p-sums are exact differences of
-    the integer prefix sums.  O(n log n) vectorised work.
+    One Gaussian p-sum noise value is drawn per tree node, in post-order,
+    so a shared seed reproduces the dense-factorization oracle L (R x + y).
     """
-    x = _check_bits(x)
-    n = x.shape[0]
-    full = _next_pow2(n)
-    # max column norm of the binary strategy matrix is sqrt(1 + log2(n'))
-    sigma = budget.noise_multiplier * math.sqrt(1.0 + math.log2(full))
-    y = _generator(seed).standard_normal(2 * full - 1) * sigma
-
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(x.astype(np.int64), out=prefix[1:])
-    out = np.zeros(n)
-    for k, rounds, ends, nodes in _dyadic_blocks(n):
-        psums = (prefix[ends] - prefix[ends - (1 << k)]).astype(np.float64)
-        out[rounds - 1] += psums + y[nodes]
-    return out
+    return release("binary", x, budget, seed)
 
 
 def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Generic matrix mechanism: L (R x + z) with z ~ N(0, ||R||_{1->2}^2 C^2 I)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fact.n,):
-        raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
-    p = fact.right.shape[0]
-    z = _generator(seed).standard_normal(p) * (budget.noise_multiplier * fact.sensitivity)
-    return fact.left @ (fact.right @ x + z)
+    z = _normals(seed, 1, fact.right.shape[0])
+    return _matrix_counts(fact, x, z, budget.noise_multiplier)[0]
 
 
 def release(
@@ -232,28 +316,16 @@ def release(
 
     ``"factorization"`` is ``cumsum(bits)`` plus ``_sqrt_noise``, byte for
     byte what ``StreamingCounter.step`` returns; ``"binary"`` runs
-    ``binary_mechanism_run``; ``"honaker"`` is ``cumsum(bits)`` plus
+    ``_binary_counts``; ``"honaker"`` is ``cumsum(bits)`` plus
     ``_honaker_noise``, with no dense matrix and no limit on n.  An explicit
     ``fact`` is accepted only with ``"honaker"`` and runs the generic
-    ``matrix_mechanism_run`` with it instead (the dense oracle path).
+    ``_matrix_counts`` with it instead (the dense oracle path).  All of
+    them draw one row of normals from ``PCG64(seed)``.
     """
-    if kind not in MECHANISM_KINDS:
-        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
-    if fact is not None and kind != "honaker":
-        raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
+    _check_mechanism(kind, fact)
     x = _check_bits(bits)
-    n = x.shape[0]
-    if kind == "binary":
-        return binary_mechanism_run(x, budget, seed)
-    if fact is not None:
-        return matrix_mechanism_run(fact, x, budget, seed)
-    if kind == "factorization":
-        noise = _sqrt_noise(n, budget.noise_multiplier, seed)[:, 0]
-    else:
-        noise = _honaker_noise(n, budget.noise_multiplier, seed)
-    # added last, so the prefix sums are not held while the noise is built
-    noise += np.cumsum(x)
-    return noise
+    z = _normals(seed, 1, _draw_width(kind, x.shape[0], fact))
+    return _noisy_counts(kind, x, z, budget.noise_multiplier, fact)[0]
 
 
 def monte_carlo_mse(
@@ -268,19 +340,31 @@ def monte_carlo_mse(
 
     Since the additive noise does not depend on the input, the worst-case
     input in the error definition can be replaced by any fixed stream; the
-    harness uses the all-zeros stream.  Trial i is seeded with seed + i.
-    ``fact`` is passed on to ``release``: for ``"honaker"`` it selects the
-    dense ``matrix_mechanism_run`` path, for other kinds it is refused.
+    harness uses the all-zeros stream.  Trial i draws the normals
+    ``release`` draws from seed + i; the trials are mapped to outputs in
+    blocks of at most ``_BLOCK_VALUES`` normals, by the functions
+    ``release`` runs, so each trial's error is byte for byte that of
+    ``release(kind, zeros, budget, seed + i, fact)``.  ``fact`` selects,
+    for ``"honaker"``, the dense ``_matrix_counts`` path; for other kinds
+    it is refused.
     """
     n = int(n)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
+    _check_mechanism(kind, fact)
     zeros = np.zeros(n, dtype=np.int64)
+    width = _draw_width(kind, n, fact)
+    rows = max(1, _BLOCK_VALUES // width)
 
     per_trial = np.empty(trials)
-    for i in range(trials):
-        per_trial[i] = np.mean(release(kind, zeros, budget, seed + i, fact) ** 2)
+    for start in range(0, trials, rows):
+        z = _normals(seed + start, min(rows, trials - start), width)
+        counts = _noisy_counts(kind, zeros, z, budget.noise_multiplier, fact)
+        # a row-wise mean: each trial's pairwise sum runs over its own row
+        per_trial[start : start + len(z)] = np.mean(counts**2, axis=1)
 
     estimate = float(np.mean(per_trial))
     if trials == 1:

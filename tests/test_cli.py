@@ -562,8 +562,50 @@ def test_certify_matches_row_builder(tmp_path, capsys, matrix):
     _assert_same_outcome(args, functools.partial(_reference_certify_csv, path), tmp_path, capsys)
 
 
+def _assert_usage_error(args, message, tmp_path, capsys):
+    """``args`` exits 2 with argparse's ``message`` on stderr, writing nothing,
+    to stdout or to ``--out``."""
+    path = tmp_path / "refused.csv"
+    for extra in ([], ["--out", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(args + extra)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == message
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("seed,count", [(0, 3), (2**70, 2), (-3, 3), (2**63 - 1, 2)])
 def test_ftrl_matches_row_builder(tmp_path, capsys, seed, count):
     args = ["ftrl", "--n", "48", "--d", "3", "--seed", str(seed), "--seeds-count", str(count)]
+    if seed < 0:  # a usage error, refused before any seed reaches numpy
+        message = f"contcount ftrl: error: argument --seed: expected a non-negative integer, got {seed}"
+        _assert_usage_error(args, message, tmp_path, capsys)
+        return
     want = functools.partial(_reference_ftrl_csv, 48, 3, seed, count)
     _assert_same_outcome(args, want, tmp_path, capsys)
+
+
+def test_count_negative_seed_is_usage_error(tmp_path, capsys):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1\n0\n1\n")
+    args = ["count", "--input", str(bits), "--seed", "-1"]
+    message = "contcount count: error: argument --seed: expected a non-negative integer, got -1"
+    _assert_usage_error(args, message, tmp_path, capsys)
+
+
+def test_compare_n_max_limit(tmp_path, capsys):
+    # the last accepted value gives the row builder's bytes (octaves up to 2^1014) ...
+    last = cli.N_MAX_LIMIT
+    assert last == 2**1015 - 1
+    args = ["compare", "--n-max", str(last)]
+    want = functools.partial(_reference_compare_csv, last, 1.0, 1.0, 1e-10)
+    _assert_same_outcome(args, want, tmp_path, capsys)
+    # ... where the first refused one made the row builder overflow
+    with pytest.raises(OverflowError):
+        _reference_compare_csv(last + 1, 1.0, 1.0, 1e-10)
+    message = (
+        "contcount compare: error: argument --n-max: at most 2**1015 - 1 is accepted "
+        f"(the closed forms overflow float64 from n = 2**1015), got {last + 1}"
+    )
+    _assert_usage_error(["compare", "--n-max", str(last + 1)], message, tmp_path, capsys)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from contcount.ftrl import (
     DpFtrlLearner,
     LogisticTask,
+    _sigmoid,
     clip,
     lambda_star,
     logistic_task,
@@ -206,3 +207,38 @@ def test_multi_seed_regret_under_bound_quick():
         regrets.append(rep.regret)
     assert np.mean(regrets) <= bound
     assert max(regrets) <= 1.5 * bound
+
+
+def _reference_regret(task, budget, seed):
+    """``run_dp_ftrl_logistic`` as a loop that takes the loss and the
+    gradient of each round from two separate margins."""
+    learner = DpFtrlLearner(task.n, task.d, budget, seed)
+    incurred = 0.0
+    for i in range(task.n):
+        x, y = task.xs[i], task.ys[i]
+        incurred += float(np.logaddexp(0.0, -(y * float(x @ learner.theta))))
+        margin = y * float(x @ learner.theta)
+        learner.step_gradient(-(y * _sigmoid(-margin)) * x)
+    theta_opt = minimize_logistic_in_ball(task, 1.0)
+    bound = regret_bound(task.n, 1.0, task.d, budget, 1.0)
+    return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
+
+
+def _reference_noise(n, d, budget, seed):
+    """The learner's noise, column by column from one (n, d) draw."""
+    coeffs = sqrt_coefficients(n).coeffs
+    g = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, d))
+    for j in range(d):
+        g[:, j] = toeplitz_lower_matvec(coeffs, g[:, j])
+    g *= budget.noise_multiplier * math.sqrt(float(np.sum(coeffs**2)))
+    return g
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (300, 4), (5000, 2)])
+def test_run_matches_two_margin_loop(n, d):
+    for seed in (3, 2**40 + 1):
+        task = logistic_task(n, d, seed)
+        noise_seed = seed + 2**32
+        assert run_dp_ftrl_logistic(task, BUDGET, noise_seed) == _reference_regret(task, BUDGET, noise_seed)
+        noise = DpFtrlLearner(n, d, BUDGET, seed).noise
+        assert noise.tobytes() == _reference_noise(n, d, BUDGET, seed).tobytes()

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from contcount import mechanism
 from contcount.factorization import (
+    DENSE_LIMIT,
     expected_mse,
     honaker_left,
     sqrt_coefficients,
     sqrt_factorization,
 )
-from contcount.linalg import lower_toeplitz
+from contcount.linalg import lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import (
     MECHANISM_KINDS,
     PrivacyBudget,
@@ -353,3 +355,143 @@ def test_honaker_release_solves_normal_equations_beyond_dense_limit(n):
 def test_monte_carlo_honaker_structured_matches_closed_form(n, seed):
     est, se = monte_carlo_mse("honaker", n, 4000, BUDGET, seed)
     assert abs(est - expected_mse(honaker_left(n), BUDGET, n)) <= 4 * se
+
+
+# The one-trial releases as they were before the mechanisms took a batch of
+# draws: ``release`` must still give their bytes.  (The binary one is
+# ``_binary_mechanism_loop``.)
+def _sqrt_release_1d(x, budget, seed):
+    n = x.shape[0]
+    coeffs = sqrt_coefficients(n).coeffs
+    g = _generator(seed).standard_normal((n, 1))
+    g[:, 0] = toeplitz_lower_matvec(coeffs, g[:, 0])
+    g *= budget.noise_multiplier * math.sqrt(float(np.sum(coeffs**2)))
+    noise = g[:, 0]
+    noise += np.cumsum(x)
+    return noise
+
+
+def _honaker_release_1d(x, budget, seed):
+    n = x.shape[0]
+    full = 1 << max(0, (n - 1).bit_length())
+    levels = full.bit_length()
+    tree = _generator(seed).standard_normal(2 * full - 1)[None, :]
+    w = tree[:, -1]
+    while tree.shape[1] > 1:
+        tree = tree[:, :-1].reshape(-1, tree.shape[1] // 2)
+        w = np.repeat(w, 2) + tree[:, -1]
+    w = w[:n]
+    u = np.empty(0)
+    for k in range(1, levels):
+        size = 1 << k
+        start = (n >> k) << k
+        if start:
+            blocks = w[:start].reshape(-1, size)
+            blocks -= blocks.sum(axis=1, keepdims=True) / (2 * size - 1)
+        if start < n:
+            full_children = ((n >> (k - 1)) << (k - 1)) - start
+            u = np.concatenate((np.full(full_children, 1.0 / (size - 1)), u))
+            scale = 1.0 + u.sum()
+            w[start:] -= u * (w[start:].sum() / scale)
+            u /= scale
+    np.cumsum(w, out=w)
+    w *= budget.noise_multiplier * math.sqrt(levels)
+    w += np.cumsum(x)
+    return w
+
+
+def _matrix_release_1d(fact, x, budget, seed):
+    x = np.asarray(x, dtype=np.float64)
+    z = _generator(seed).standard_normal(fact.right.shape[0]) * (budget.noise_multiplier * fact.sensitivity)
+    return fact.left @ (fact.right @ x + z)
+
+
+@pytest.mark.parametrize("n", [1, 768, 4097, 2**14])
+def test_release_bytes_match_one_trial_references(n):
+    seed = 2**40 + 7
+    x = _generator(n).integers(0, 2, n)
+    refs = {
+        "factorization": _sqrt_release_1d(x, BUDGET, seed),
+        "binary": _binary_mechanism_loop(x, BUDGET, seed),
+        "honaker": _honaker_release_1d(x, BUDGET, seed),
+    }
+    for kind, want in refs.items():
+        assert release(kind, x, BUDGET, seed).tobytes() == want.tobytes(), kind
+    if n <= DENSE_LIMIT:
+        fact = honaker_left(n)
+        want = _matrix_release_1d(fact, x, BUDGET, seed)
+        assert release("honaker", x, BUDGET, seed, fact=fact).tobytes() == want.tobytes()
+        assert matrix_mechanism_run(fact, x, BUDGET, seed).tobytes() == want.tobytes()
+
+
+def _monte_carlo_reference(kind, n, trials, budget, seed, fact=None):
+    """Per-trial squared errors, one ``release`` per trial seed seed + i."""
+    zeros = np.zeros(n, dtype=np.int64)
+    return np.array([np.mean(release(kind, zeros, budget, seed + i, fact) ** 2) for i in range(trials)])
+
+
+def _estimate(per_trial):
+    """``monte_carlo_mse``'s statistics of the per-trial squared errors."""
+    estimate = float(np.mean(per_trial))
+    if len(per_trial) == 1:
+        return estimate, 0.0
+    return estimate, float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial)))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (kind, n)
+        for kind in ("factorization", "binary", "honaker", "honaker-dense")
+        for n in (1, 2, 3, 255, 256, 257, 1024, 4097)
+        if kind != "honaker-dense" or n <= DENSE_LIMIT
+    ],
+)
+def test_monte_carlo_blocks_match_per_trial_loop(monkeypatch, kind, n):
+    fact = None
+    if kind == "honaker-dense":
+        kind, fact = "honaker", honaker_left(n)
+    width = mechanism._draw_width(kind, n, fact)
+    if n < 1024:
+        # at the module cap a block holds 257 to 2^18 of these narrower trials;
+        # a cap of 100 rows puts the block edges within reach of the reference loop
+        monkeypatch.setattr(mechanism, "_BLOCK_VALUES", 100 * width + width // 2)
+    block = mechanism._BLOCK_VALUES // width
+    trials = sorted({1, 2, block - 1, block, block + 1} - {0})
+    for seed in (0, 2**40 + 7, 2**70):
+        per_trial = _monte_carlo_reference(kind, n, trials[-1], BUDGET, seed, fact)
+        for t in trials:
+            assert monte_carlo_mse(kind, n, t, BUDGET, seed, fact) == _estimate(per_trial[:t])
+
+
+def test_monte_carlo_blocks_stay_under_cap(monkeypatch):
+    shapes = []
+    normals = mechanism._normals
+
+    def recording(seed, rows, width):
+        shapes.append((rows, width))
+        return normals(seed, rows, width)
+
+    monkeypatch.setattr(mechanism, "_normals", recording)
+    for kind, n, trials in (("factorization", 1000, 600), ("binary", 300, 600), ("honaker", 5000, 40)):
+        shapes.clear()
+        monte_carlo_mse(kind, n, trials, BUDGET, seed=1)
+        assert sum(rows for rows, _ in shapes) == trials
+        assert all(rows * width <= max(mechanism._BLOCK_VALUES, width) for rows, width in shapes)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (("honaker", 5, 10, "fact"), "does not match"),
+        (("factorization", 4, 0, None), "trials"),
+        (("binary", 4, -1, None), "trials"),
+        (("factorization", 0, 10, None), "horizon"),
+        (("honaker", -1, 10, None), "horizon"),
+    ],
+)
+def test_monte_carlo_refusals(args, match):
+    kind, n, trials, fact = args
+    fact = honaker_left(4) if fact else None
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_mse(kind, n, trials, BUDGET, seed=0, fact=fact)
