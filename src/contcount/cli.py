@@ -11,8 +11,23 @@ Subcommands:
 Every command is deterministic given its flags (and seed).  Each one
 computes numpy columns from library calls and hands them to one CSV writer,
 ``_emit_columns``: a header row, then rows formatted and written
-``CHUNK_ROWS`` at a time (memory does not grow with one string per row),
-floats with 17 significant digits, to stdout or to the ``--out`` file.
+``CHUNK_ROWS`` at a time (memory does not grow with n), to stdout or to the
+``--out`` file.  The bytes are those of ``row_format % row`` for each row
+(``%d``, ``%.17g`` or ``%s`` per column), built in numpy by
+``linalg.format_csv_rows``:
+
+* ``%d`` on int64: a sign, then digits, four at a time, from repeated
+  division by 10^4.
+* ``%.17g`` on float64 prints fixed notation exactly when the decimal
+  exponent E after rounding to 17 digits is in [-4, 16].  There 10^(16-E)
+  is exact, so Dekker's error-free product gives |x| 10^(16-E) = hi + lo
+  exactly, and hi + round-half-even(lo) is the 17 correctly rounded digits.
+  E comes from floor(log10|x|), moved once if the digits fall outside
+  [10^16, 10^17).  Trailing zeros of the fraction are dropped.
+* Every other cell is formatted by Python's ``%`` itself: floats with
+  |x| < 1e-4 or >= 1e17, zeros, nan and infinities; the int64 -2^63; and
+  object or ``%s`` columns.
+
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
@@ -28,14 +43,16 @@ import numpy as np
 from . import certificates, workload
 from .factorization import sqrt_coefficients
 from .ftrl import logistic_task, run_dp_ftrl_logistic
-from .linalg import read_matrix_csv
+from .linalg import format_csv_rows, read_matrix_csv
 from .mechanism import MECHANISM_KINDS, PrivacyBudget, release
 
 # Learner noise must not reuse the data-generation stream of the same seed.
 _NOISE_SEED_OFFSET = 2**32
 
 # Rows formatted per write by ``_emit_columns``: memory stays bounded in n.
-CHUNK_ROWS = 1024
+# Measured on ``count`` at 2^14 and 2^17 rounds: 2048 rows format as fast as
+# 4096 and add 0.4 MB of peak RSS (4096: 1.3 MB, 16384: 7 MB).
+CHUNK_ROWS = 2048
 
 # Byte classes of the vectorised bit reader: 0 anything else, 1 ASCII
 # whitespace inside a line, 2 a line end (``\n`` or ``\r``), 3 a bit.
@@ -51,18 +68,22 @@ _BYTE_CLASS[[48, 49]] = 3
 N_MAX_LIMIT = 2**1015 - 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+def _int_at_least(text: str, low: int, name: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"expected a {name} integer, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _n_max(text: str) -> int:
@@ -79,17 +100,12 @@ def _emit_columns(header: str, row_format: str, columns, out_path: str | None) -
     """Write ``header`` and one ``row_format % row`` line per row of the
     equal-length ``columns``, formatting and writing CHUNK_ROWS rows at a time,
     to stdout when ``out_path`` is None or ``-``, else to that file."""
-    n, width = len(columns[0]), len(columns)
     to_stdout = out_path is None or out_path == "-"
     sink = contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8")
     with sink as fh:
         fh.write(header + "\n")
-        for start in range(0, n, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, n)
-            cells = [None] * (width * (stop - start))
-            for i, column in enumerate(columns):
-                cells[i::width] = column[start:stop].tolist()
-            fh.write((row_format * (stop - start)) % tuple(cells))
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            fh.write(format_csv_rows(row_format, [c[start : start + CHUNK_ROWS] for c in columns]))
 
 
 def _budget(eps: float, delta: float) -> PrivacyBudget:

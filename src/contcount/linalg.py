@@ -5,6 +5,8 @@ products.  Everything here operates on plain 2-D float64 numpy arrays
 ("dense matrices"); the heavy decompositions delegate to numpy's LAPACK
 bindings, which satisfy the tolerances documented on each function.  The
 Toeplitz product uses ``numpy.fft``; the package needs nothing but numpy.
+CSV text is read by ``np.loadtxt`` and written by ``format_csv_rows``,
+which builds the bytes of Python's ``%`` formatting in numpy.
 
 All functions are pure and safe for concurrent use, except that
 ``read_matrix_csv`` swaps the process's warning filters while it parses.
@@ -30,6 +32,7 @@ __all__ = [
     "lower_toeplitz",
     "read_matrix_csv",
     "write_matrix_csv",
+    "format_csv_rows",
 ]
 
 # Symmetry slack accepted by min_eigenvalue_symmetric (absolute, entrywise).
@@ -46,6 +49,9 @@ PINV_RTOL = 1e-12
 # Singular values at or below PINV_ATOL are treated as zero too: their
 # reciprocals overflow float64.
 PINV_ATOL = 1.0 / np.finfo(np.float64).max
+
+# Entries formatted per write by ``write_matrix_csv``.
+CSV_CHUNK_CELLS = 4096
 
 
 def as_matrix(values) -> np.ndarray:
@@ -225,8 +231,177 @@ def _read_matrix_csv_lines(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, a) -> None:
-    """Write a matrix as CSV (no header), round-trip safe."""
+    """Write a matrix as CSV (no header), every entry as ``%.17g``, which
+    round-trips float64 exactly.  About CSV_CHUNK_CELLS entries are formatted
+    per write by ``format_csv_rows``."""
     a = as_matrix(a)
+    rows = max(1, CSV_CHUNK_CELLS // a.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for start in range(0, a.shape[0], rows):
+            fh.write(format_csv_rows("%.17g\n", [a[start : start + rows]]))
+
+
+# Decimal digits of 0..9999, four ASCII bytes each, read as one uint32.
+_DIGITS4 = (
+    np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48)
+    .view(np.uint32)
+    .ravel()
+)
+# Exact float64 powers of ten 10^0..10^20.
+_POW10 = np.array([float(10**k) for k in range(21)])
+# Digit j of an n-digit %d cell is kept when |v| >= _INT_KEEP[j - n] (the
+# last digit always).
+_INT_KEEP = np.array([10**k for k in range(18, 0, -1)] + [0], dtype=np.int64)
+
+
+def _veltkamp(a):
+    """Split ``a`` exactly into hi + lo, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _g17_layout():
+    """Characters of the slots of a fixed-notation %.17g cell, and the
+    keep-mask of each (decimal exponent e, last nonzero digit, sign), in row
+    ((e + 4) * 17 + last) * 2 + sign.
+
+    The slots are a sign, "0." and three zeros (for e < 0), then each of the
+    17 digits followed by a decimal-point slot, then the separator.  The
+    integer part is kept whole, the fraction up to its last nonzero digit.
+    """
+    chars = np.frombuffer(b"-0.000" + b"0." * 17 + b",", dtype=np.uint8)
+    e, last, negative = np.indices((21, 17, 2)).reshape(3, -1, 1)
+    e = e - 4
+    digit = np.arange(17)
+    keep = np.empty((len(e), len(chars)), dtype=bool)
+    keep[:, :1] = negative
+    keep[:, 1:3] = e < 0
+    keep[:, 3:6] = np.arange(3) < -1 - e
+    keep[:, 6:40:2] = digit <= np.maximum(e, last)
+    keep[:, 7:41:2] = (digit == e) & (last > e)
+    keep[:, 40] = True
+    return chars, keep
+
+
+_G17_CHARS, _G17_KEEP = _g17_layout()
+
+
+def _decimal_digits(v, width):
+    """ASCII digits of the int64 values 0 <= v < 10^width, zero-padded to
+    ``width`` (a multiple of 4), one row per value."""
+    groups = np.empty((len(v), width // 4), dtype=np.int64)
+    for j in range(width // 4 - 1, 0, -1):
+        q = v // 10**4
+        groups[:, j] = v - q * 10**4
+        v = q
+    groups[:, 0] = v
+    return _DIGITS4[groups].view(np.uint8)
+
+
+def _rounded_17(a, e):
+    """The 17 significant digits of a > 0 at decimal exponent e, correctly
+    rounded: round-half-even(a * 10^(16 - e)) as int64.
+
+    10^(16 - e) is exact for e in [-4, 16], and Dekker's product splits
+    a * 10^(16 - e) error-free into hi + lo.  When the product is at least
+    10^16, hi is an even integer (float64 above 2^53) and |lo| <= 8, so
+    hi + round-half-even(lo) is the correctly rounded integer.
+    """
+    k = 16 - e
+    hi = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17_slots(x):
+    """Slots of ``"%.17g" % v`` for the float64 cells of ``x`` that print in
+    fixed notation, 1e-4 <= |v| < 1e17, and the mask of the other cells."""
+    ax = np.abs(x)
+    slow = ~((ax >= 1e-4) & (ax < 1e17))  # also nan
+    a = np.where(slow, 1.0, ax)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    digits = _rounded_17(a, e)
+    # next to a power of ten log10 may put e one off, and rounding to 17
+    # digits may carry into an 18th: move e once and round again
+    shift = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
+    fix = np.flatnonzero(shift)
+    if fix.size:
+        e[fix] += shift[fix]
+        digits[fix] = _rounded_17(a[fix], e[fix])
+    ascii_digits = _decimal_digits(digits, 20)[:, 3:]
+    last = 16 - np.argmax(ascii_digits[:, ::-1] != 48, axis=1)  # last nonzero digit
+    chars = np.empty((len(x), len(_G17_CHARS)), dtype=np.uint8)
+    chars[:] = _G17_CHARS
+    chars[:, 6:40:2] = ascii_digits
+    return chars, _G17_KEEP[((e + 4) * 17 + last) * 2 + (x < 0)], slow
+
+
+def _int_slots(v):
+    """Slots of ``"%d" % v`` for the int64 cells of ``v`` other than -2^63
+    (whose absolute value overflows), and the mask of those."""
+    slow = v == np.iinfo(np.int64).min
+    a = np.abs(np.where(slow, 0, v))
+    ndigits = 19 if slow.any() else len(str(int(a.max())))
+    chars = np.empty((len(v), ndigits + 2), dtype=np.uint8)
+    chars[:, 0], chars[:, -1] = ord("-"), ord(",")
+    chars[:, 1:-1] = _decimal_digits(a, -(-ndigits // 4) * 4)[:, -ndigits:]
+    keep = np.empty(chars.shape, dtype=bool)
+    keep[:, 0] = v < 0
+    keep[:, 1:-1] = a[:, None] >= _INT_KEEP[-ndigits:]
+    keep[:, -1] = True
+    return chars, keep, slow
+
+
+def _cell_slots(conversion, values):
+    """One row of character slots per cell of ``values`` (row-major), with
+    the mask of the slots that ``conversion % value`` keeps, ending in a kept
+    ``,`` slot.  ``%.17g`` on float64 and ``%d`` on int64 are built in numpy;
+    every other cell is formatted by ``%`` itself into the same slots."""
+    flat = values.reshape(-1)
+    if conversion == "%.17g" and flat.dtype == np.float64:
+        chars, keep, slow = _g17_slots(flat)
+    elif conversion == "%d" and flat.dtype == np.int64:
+        chars, keep, slow = _int_slots(flat)
+    else:
+        chars = keep = None
+        slow = np.ones(len(flat), dtype=bool)
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        texts = [(conversion % value).encode() for value in flat[rows].tolist()]
+        if chars is None:
+            width = max(map(len, texts)) + 1
+            chars = np.full((len(flat), width), ord(","), dtype=np.uint8)
+            keep = np.ones(chars.shape, dtype=bool)
+        width = chars.shape[1] - 1  # every fallback text fits the fast layout
+        chars[rows, :-1] = np.frombuffer(
+            b"".join(t.ljust(width) for t in texts), dtype=np.uint8
+        ).reshape(len(rows), width)
+        keep[rows, :-1] = np.arange(width) < np.array([len(t) for t in texts])[:, None]
+    return chars, keep
+
+
+def format_csv_rows(row_format: str, columns) -> str:
+    """``row_format % row`` for each row of the equal-length numpy ``columns``,
+    concatenated, byte for byte.
+
+    ``row_format`` is conversions (``%d``, ``%.17g``, ``%s``, ...) joined by
+    commas and ended by a newline, one per column; a 2-D column fills one
+    cell per entry of its row with its conversion.  Each cell becomes a row
+    of character slots and a keep-mask (see ``_cell_slots``); one boolean
+    compress of all slots gives the text.
+    """
+    conversions = row_format[:-1].split(",")
+    if not row_format.endswith("\n") or len(conversions) != len(columns):
+        raise ValueError(f"row format {row_format!r} does not match {len(columns)} columns")
+    n = len(columns[0])
+    slots = [_cell_slots(c, np.asarray(col)) for c, col in zip(conversions, columns)]
+    chars = np.concatenate([c.reshape(n, -1) for c, _ in slots], axis=1)
+    keep = np.concatenate([k.reshape(n, -1) for _, k in slots], axis=1)
+    chars[:, -1] = ord("\n")
+    return np.compress(keep.reshape(-1), chars).tobytes().decode()

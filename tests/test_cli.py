@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import math
 import subprocess
 import sys
@@ -426,7 +428,10 @@ def _reference_count_csv(bits, noisy):
 
 
 @pytest.mark.parametrize("kind", MECHANISM_KINDS)
-@pytest.mark.parametrize("n", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+# 1023..1025 lie inside one chunk; CHUNK_ROWS - 1..CHUNK_ROWS + 1 straddle its end
+@pytest.mark.parametrize(
+    "n", [1, 1023, 1024, 1025, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1]
+)
 def test_count_output_matches_row_formatter(tmp_path, capsys, kind, n):
     bits = np.random.default_rng(n).integers(0, 2, size=n)
     path = tmp_path / "bits.txt"
@@ -452,7 +457,7 @@ def test_writer_formats_every_float_like_format(capsys):
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("n", [1, 2, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 2, 1024, 1025, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
 def test_coeffs_output_matches_row_formatter(capsys, n):
     coeffs = sqrt_coefficients(n).coeffs
     want = "index,value\n" + "".join(f"{k},{format(float(v), '.17g')}\n" for k, v in enumerate(coeffs))
@@ -609,3 +614,123 @@ def test_compare_n_max_limit(tmp_path, capsys):
         f"(the closed forms overflow float64 from n = 2**1015), got {last + 1}"
     )
     _assert_usage_error(["compare", "--n-max", str(last + 1)], message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "args,flag,kind",
+    [
+        (["coeffs", "--n", "abc"], "--n", "positive"),
+        (["count", "--n", "1.5"], "--n", "positive"),
+        (["ftrl", "--n", "8", "--d", "x"], "--d", "positive"),
+        (["ftrl", "--n", "8", "--d", "2", "--seeds-count", "two"], "--seeds-count", "positive"),
+        (["count", "--seed", "abc"], "--seed", "non-negative"),
+        (["ftrl", "--n", "8", "--d", "2", "--seed", "0x1"], "--seed", "non-negative"),
+        (["compare", "--n-max", "abc"], "--n-max", "positive"),
+    ],
+)
+def test_non_integer_flag_is_readable_usage_error(tmp_path, capsys, args, flag, kind):
+    value = args[args.index(flag) + 1]
+    message = f"contcount {args[0]}: error: argument {flag}: expected a {kind} integer, got {value}"
+    _assert_usage_error(args, message, tmp_path, capsys)
+
+
+def _reference_emit(header, row_format, columns):
+    """The ``%``-tuple writer that ``_emit_columns`` replaced, unchunked: the
+    byte-for-byte reference of the numpy row builder."""
+    n, width = len(columns[0]), len(columns)
+    cells = [None] * (width * n)
+    for i, column in enumerate(columns):
+        cells[i::width] = column.tolist()
+    return header + "\n" + (row_format * n) % tuple(cells)
+
+
+def _assert_writer_matches(row_format, columns):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_columns(header, row_format, columns, None)
+    assert out.getvalue() == _reference_emit(header, row_format, columns)
+
+
+def _g17_cases(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def _powers_of_ten_neighbours(steps=40):
+    out = []
+    for k in range(-6, 19):
+        for start in (10.0**k, float(f"1e{k}")):
+            below = above = start
+            out.append(start)
+            for _ in range(steps):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+                out += [below, above]
+    return _g17_cases(out)
+
+
+def _eighteenth_digit_ties():
+    # at decimal exponent E the 17 digits are x * 10^(16 - E): these x make
+    # that product end in exactly .5, so round-half-even decides the last digit
+    k = np.arange(4000)
+    odd = 2 * k + 1
+    parts = [1e15 + k / 4, 2e15 + k / 4, 1e14 + k / 8, 5e14 + k / 8, 1e13 + k / 16]
+    parts += [0.5 + odd * 2.0**-18, (odd[105:1048] + 104) * 2.0**-21]  # E = -1 and E = -4
+    return _g17_cases(np.concatenate(parts))
+
+
+G17_EDGES = _g17_cases(
+    [100.5, 1e16, 1e17 - 16, 1e17, 1e17 + 16, 1e-4, np.nextafter(1e-4, 0.0), 1e-5, 0.1, 0.5, 1.0, 2.0]
+    + [9.5, 99.5, 999.5, 123456789012345678.0, 1.2345678901234567e16, 0.30000000000000004]
+    + [5e-324, 2.2250738585072014e-308, sys.float_info.max, 2.0**53, 2.0**53 + 2, 2.0**56 - 8]
+    + [0.0, math.inf, math.nan]
+)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [_powers_of_ten_neighbours(), _eighteenth_digit_ties(), G17_EDGES],
+    ids=["powers-of-ten-neighbours", "18th-digit-ties", "edges"],
+)
+def test_writer_matches_percent_writer_on_floats(values):
+    _assert_writer_matches("%.17g\n", [values])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=64, max_size=64),
+)
+def test_writer_matches_percent_writer_on_bit_patterns(patterns, ints):
+    floats = np.array(patterns, dtype=np.uint64).view(np.float64)
+    ints = np.array(ints[: len(floats)], dtype=np.int64)
+    _assert_writer_matches("%.17g,%d,%.17g\n", [floats, ints, floats[::-1]])
+
+
+def test_writer_matches_percent_writer_on_ints_and_objects():
+    rng = np.random.default_rng(4)
+    extremes = [-(2**63), 2**63 - 1, -(2**63) + 1, 0, -1, 1, 9, -10, 10**18, -(10**18)]
+    ints = np.concatenate([extremes, rng.integers(-(2**63), 2**63 - 1, 500), rng.integers(-99, 99, 500)])
+    ints = ints.astype(np.int64)
+    big = np.resize(np.array([2**70, -(2**80), 2**63, -(2**63) - 1, 0], dtype=object), len(ints))
+    labels = np.resize(np.array(["true", "false", "naïve", ""]), len(ints))
+    floats = np.linspace(-3.0, 3.0, len(ints))
+    _assert_writer_matches("%d,%d,%s,%.17g\n", [ints, big, labels, floats])
+    _assert_writer_matches("%d\n", [np.array([-(2**63)], dtype=np.int64)])
+    _assert_writer_matches("%d\n", [np.array([2**63 - 1], dtype=np.int64)])
+
+
+@pytest.mark.parametrize(
+    "n", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 3 * cli.CHUNK_ROWS + 7]
+)
+def test_writer_matches_percent_writer_across_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    true = np.cumsum(rng.integers(0, 2, n))
+    noisy = true + rng.normal(size=n) * 10.0 ** rng.uniform(-8, 18, n)
+    noisy[rng.integers(0, n, max(1, n // 50))] = 0.0  # fallback cells inside chunks
+    columns = [np.arange(1, n + 1), true, noisy]
+    _assert_writer_matches("%d,%d,%.17g\n", columns)
+    path = tmp_path / "out.csv"
+    cli._emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, str(path))
+    want = _reference_emit("t,true_count,noisy_count", "%d,%d,%.17g\n", columns)
+    assert path.read_bytes() == want.encode()

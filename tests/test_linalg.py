@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from contcount.linalg import (
+    CSV_CHUNK_CELLS,
     as_matrix,
     col_norm_1to2,
     frobenius_norm,
@@ -216,6 +217,27 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, a)
     assert np.array_equal(read_matrix_csv(path), a)
+
+
+def _reference_write_matrix_csv(path, a):
+    """The per-row ``format(v, ".17g")`` writer that ``write_matrix_csv`` must
+    reproduce byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in as_matrix(a):
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (7, 5), (3, CSV_CHUNK_CELLS + 3), (CSV_CHUNK_CELLS + 1, 1), (300, 40)]
+)
+def test_write_matrix_csv_matches_per_row_writer(tmp_path, shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    edges = [0.0, -0.0, 100.5, 1e16, 1e17 - 16, 1e-4, 5e-324, 2.0**63, -1e-300]
+    a.flat[: len(edges)] = edges[: a.size]
+    write_matrix_csv(tmp_path / "got.csv", a)
+    _reference_write_matrix_csv(tmp_path / "want.csv", a)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_csv_rejects_ragged(tmp_path):
