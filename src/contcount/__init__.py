@@ -43,7 +43,6 @@ from .ftrl import (
 from .mechanism import (
     PrivacyBudget,
     StreamingCounter,
-    binary_mechanism_run,
     matrix_mechanism_run,
     monte_carlo_mse,
     noise_multiplier,

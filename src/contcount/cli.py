@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"contcount: error: {exc}", file=sys.stderr)
         return 1
 

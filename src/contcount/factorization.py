@@ -184,18 +184,17 @@ def _postorder_nodes(ends: np.ndarray, level: int) -> np.ndarray:
 
 
 def _dyadic_blocks(n: int):
-    """The dyadic decompositions of [1, t] for every t in 1..n, by level.
+    """The blocks that end the dyadic decompositions of [1, t], t in 1..n.
 
-    Yields (k, starts, nodes) from the largest block size 2^k down to 1.
-    The t with bit k set come in runs of 2^k consecutive rounds, and every
-    round of the run that starts at s holds the block of size 2^k ending
-    at s = (t >> k) << k.  ``starts`` are the runs starting at or before n
-    (the last may pass n), and ``nodes`` their blocks' post-order indices
-    in the tree over the next power of two.
+    Yields (k, ends, nodes) from the largest block size 2^k down to 1:
+    ``ends`` are the rounds in 1..n whose lowest set bit is 2^k, and
+    ``nodes`` the post-order indices, in the tree over the next power of
+    two, of the blocks of size 2^k ending there.  The other blocks of such
+    a round t cover [1, t - 2^k] and come at higher levels.
     """
     for k in reversed(range(_next_pow2(n).bit_length())):
-        starts = np.arange(1 << k, n + 1, 2 << k, dtype=np.int64)
-        yield k, starts, _postorder_nodes(starts, k)
+        ends = np.arange(1 << k, n + 1, 2 << k, dtype=np.int64)
+        yield k, ends, _postorder_nodes(ends, k)
 
 
 def binary_right_factor(n: int) -> np.ndarray:
@@ -218,15 +217,15 @@ def binary_left_factor(n: int) -> np.ndarray:
     """The n x (2n'-1) binary-mechanism reconstruction matrix.
 
     Row t has a one at each p-sum node of the dyadic decomposition of
-    [1, t], i.e. popcount(t) ones.
+    [1, t], i.e. popcount(t) ones: row t - lowbit(t)'s and the block of
+    size lowbit(t) ending at t.
     """
     n = _dense_guard(n, "binary")
-    out = np.zeros((n, 2 * _next_pow2(n) - 1))
-    for k, starts, nodes in _dyadic_blocks(n):
-        rounds = starts[:, None] + np.arange(1 << k)
-        inside = rounds <= n
-        out[rounds[inside] - 1, np.broadcast_to(nodes[:, None], rounds.shape)[inside]] = 1.0
-    return out
+    out = np.zeros((n + 1, 2 * _next_pow2(n) - 1))  # row 0 is the empty prefix
+    for k, ends, nodes in _dyadic_blocks(n):
+        out[ends] = out[ends - (1 << k)]
+        out[ends, nodes] = 1.0
+    return out[1:]
 
 
 def binary_factorization(n: int) -> Factorization:

@@ -47,7 +47,7 @@ _ORACLE_MAX_ITER = 200_000
 def clip(g, kappa: float) -> np.ndarray:
     """Rescale g to Euclidean norm at most kappa."""
     g = np.asarray(g, dtype=np.float64)
-    if kappa <= 0:
+    if not kappa > 0:  # also refuses nan
         raise ValueError(f"clip norm must be positive, got {kappa}")
     # the value np.linalg.norm gives (it is sqrt(g . g) on vectors), at less cost per call
     norm = math.sqrt(float(g @ g))
@@ -71,7 +71,7 @@ def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: flo
 
     sqrt(2 n (1 + ln(4n/5)/pi) (kappa^2 + kappa C sqrt(d))) / radius.
     """
-    if radius <= 0:
+    if not radius > 0:  # also refuses nan
         raise ValueError(f"radius must be positive, got {radius}")
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
@@ -104,7 +104,7 @@ class DpFtrlLearner:
         n, d = int(n), int(d)
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if kappa <= 0 or radius <= 0:
+        if not (kappa > 0 and radius > 0):  # also refuses nan
             raise ValueError("kappa and radius must be positive")
         self.n = n
         self.d = d
@@ -112,7 +112,7 @@ class DpFtrlLearner:
         self.kappa = float(kappa)
         self.radius = float(radius)
         self.lam = float(lam) if lam is not None else lambda_star(n, kappa, d, budget, radius)
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("regularization strength must be positive")
         self.seed = int(seed)
         self.t = 0
@@ -224,7 +224,7 @@ def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
     norm ||theta - proj(theta - step * grad)|| / step drops below
     ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations.
     """
-    if radius <= 0:
+    if not radius > 0:  # also refuses nan
         raise ValueError(f"radius must be positive, got {radius}")
     # Smoothness constant of the average logistic loss is at most
     # max eig of (1/4n) sum x x^T <= 1/4 for unit-ball inputs.

@@ -3,11 +3,11 @@
 Every mechanism releases the exact prefix sums plus correlated noise L z.
 Each has one function from a (b, width) block of standard normals, one
 row per release, to b outputs: ``_sqrt_noise`` (square-root Toeplitz),
-``_binary_counts`` (the tree), ``_honaker_noise`` (Honaker's tree
-estimator, with no dense matrix) and ``_matrix_counts`` (an explicit
-dense factorization, which ``release`` uses only when handed one for
-``"honaker"``).  ``release`` runs them on one row, ``monte_carlo_mse`` on
-blocks of trials.
+``_binary_counts`` (the tree, in O(n) by out[t] = out[t - lowbit(t)] +
+noisy block), ``_honaker_noise`` (Honaker's tree estimator, with no dense
+matrix) and ``_matrix_counts`` (an explicit dense factorization, which
+``release`` uses only when handed one for ``"honaker"``).  ``release``
+runs them on one row, ``monte_carlo_mse`` on blocks of trials.
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -48,7 +48,6 @@ __all__ = [
     "noise_multiplier",
     "PrivacyBudget",
     "StreamingCounter",
-    "binary_mechanism_run",
     "matrix_mechanism_run",
     "release",
     "monte_carlo_mse",
@@ -63,7 +62,7 @@ _BLOCK_VALUES = 2**18
 
 def noise_multiplier(epsilon: float, delta: float) -> float:
     """Gaussian-mechanism noise multiplier C(eps, delta) for unit sensitivity."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # also refuses nan
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -86,7 +85,7 @@ class PrivacyBudget:
     override_noise_multiplier: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also refuses nan
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.epsilon > 1 and not self.allow_large_epsilon:
             raise ValueError(
@@ -187,31 +186,25 @@ def _binary_counts(x: np.ndarray, z: np.ndarray, multiplier: float) -> np.ndarra
     """Binary-mechanism outputs on the bits ``x`` for each row of the
     (b, 2n' - 1) normals ``z``, which are scaled in place to the node noise.
 
-    Each round combines the popcount(t) noisy p-sums covering [1, t].  The
-    output is built one tree level at a time, largest block first, so each
-    round adds its blocks left to right; p-sums are exact differences of
-    the integer prefix sums.  At level k each run of 2^k rounds adds one
-    noisy p-sum, through a strided view of the output: run j lies in the
-    tile of columns [j 2^(k+1), (j+1) 2^(k+1)), and a last run whose tile
-    passes n is a slice.  O(n log n) vectorised work per row, with no
-    fancy indexing.
+    Round t adds the popcount(t) noisy p-sums covering [1, t], largest block
+    first.  Its last block has size lowbit(t), and the others cover
+    [1, t - lowbit(t)], a round with a larger lowest set bit, so levels are
+    filled from the top down by out[t] = out[t - lowbit(t)] + block.  Each
+    block is an exact difference of the integer prefix sums plus its node
+    noise.  O(n) vectorised work per row.
     """
     n = x.shape[0]
     # max column norm of the binary strategy matrix is sqrt(1 + log2(n'))
     z *= multiplier * math.sqrt(1.0 + math.log2(_next_pow2(n)))
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(x.astype(np.int64), out=prefix[1:])
-    rows = z.shape[0]
-    out = np.zeros((rows, n))  # round t in column t - 1
-    for k, starts, nodes in _dyadic_blocks(n):
+    out = np.zeros((z.shape[0], n + 1))  # round t in column t; column 0 is the empty prefix
+    for k, _, nodes in _dyadic_blocks(n):
         size = 1 << k
-        noisy = (prefix[starts] - prefix[starts - size]).astype(np.float64) + z[:, nodes]
-        whole = n // (2 * size)  # runs whose tile fits in the n columns; at most one run is left
-        tiles = out[:, : whole * 2 * size].reshape(rows, whole, 2 * size)
-        tiles[:, :, size - 1 : 2 * size - 1] += noisy[:, :whole, None]
-        if whole < len(starts):
-            out[:, starts[whole] - 1 :] += noisy[:, whole:]
-    return out
+        # the rounds 2^k, 3 2^k, ... and the ones 2^k before them, as strided views
+        ends, before = slice(size, None, 2 * size), slice(0, n + 1 - size, 2 * size)
+        out[:, ends] = out[:, before] + ((prefix[ends] - prefix[before]) + z[:, nodes])
+    return out[:, 1:]
 
 
 def _matrix_counts(fact: Factorization, x, z: np.ndarray, multiplier: float) -> np.ndarray:
@@ -292,15 +285,6 @@ class StreamingCounter:
         self.running_sum += int(x_t)
         self.t += 1
         return self.running_sum + self.noise.item(self.t - 1)
-
-
-def binary_mechanism_run(x, budget: PrivacyBudget, seed: int) -> np.ndarray:
-    """Run the binary (tree) mechanism over a bit stream (``_binary_counts``).
-
-    One Gaussian p-sum noise value is drawn per tree node, in post-order,
-    so a shared seed reproduces the dense-factorization oracle L (R x + y).
-    """
-    return release("binary", x, budget, seed)
 
 
 def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: int) -> np.ndarray:

@@ -149,7 +149,7 @@ def err_lower_bound_any_mechanism(n: int, epsilon: float, oblivious: bool = Fals
     this is a pure formula evaluator.
     """
     n = _check_n(n)
-    if epsilon <= 0:
+    if not epsilon > 0:  # also refuses nan
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rate = 2.0 if oblivious else 4.0
     pref = 1.0 / (math.expm1(rate * epsilon)) ** 2

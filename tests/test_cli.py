@@ -591,6 +591,37 @@ def test_ftrl_matches_row_builder(tmp_path, capsys, seed, count):
     _assert_same_outcome(args, want, tmp_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--eps", "nan"],
+        ["compare", "--n-max", "8", "--eps-fact", "nan"],
+        ["compare", "--n-max", "8", "--eps-bin", "nan"],
+        ["ftrl", "--n", "8", "--d", "2", "--eps", "nan"],
+        ["ftrl", "--n", "8", "--d", "2", "--kappa", "nan"],
+        ["ftrl", "--n", "8", "--d", "2", "--radius", "nan"],
+    ],
+)
+def test_nan_parameter_is_refused(tmp_path, capsys, args):
+    if args[0] == "count":
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n1\n")
+        args = args + ["--input", str(bits)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("contcount: error: ") and "must be positive" in err
+
+
+def test_horizon_beyond_memory_is_clean_error(capsys):
+    # 10^15 float64 coefficients are 7.11 PiB, past the address space: numpy
+    # refuses the allocation at once, without touching memory
+    code, out, err = run_cli(["coeffs", "--n", str(10**15)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("contcount: error: Unable to allocate 7.11 PiB")
+
+
 def test_count_negative_seed_is_usage_error(tmp_path, capsys):
     bits = tmp_path / "bits.txt"
     bits.write_text("1\n0\n1\n")

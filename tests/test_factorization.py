@@ -181,7 +181,7 @@ def _binary_left_factor_loop(n):
 
 
 def test_binary_left_factor_equals_loop():
-    for n in list(range(1, 65)) + [100, 768]:
+    for n in list(range(1, 65)) + [100, 255, 257, 768, 1023, 1025]:
         assert np.array_equal(binary_left_factor(n), _binary_left_factor_loop(n)), n
 
 

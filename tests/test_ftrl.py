@@ -33,6 +33,8 @@ def test_clip_examples():
     assert np.array_equal(clip(np.zeros(3), 1.0), np.zeros(3))
     with pytest.raises(ValueError):
         clip([1.0], 0.0)
+    with pytest.raises(ValueError):
+        clip([1.0], math.nan)
 
 
 @settings(deadline=None, max_examples=50)
@@ -53,6 +55,16 @@ def test_lambda_star_examples():
     )
     value = lambda_star(2048, 1.0, 5, BUDGET, 1.0)
     assert value == pytest.approx(494.0055374043553, rel=1e-9)
+
+
+def test_radius_must_be_positive():
+    # nan fails every comparison, so a check written `radius <= 0` let it through
+    task = logistic_task(8, 2, seed=0)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            lambda_star(5, 1.0, 3, NOISE_OFF, radius)
+        with pytest.raises(ValueError, match="radius"):
+            minimize_logistic_in_ball(task, radius)
 
 
 def test_regret_bound_examples():
@@ -146,6 +158,9 @@ def test_learner_horizon_and_validation():
         DpFtrlLearner(0, 2, NOISE_OFF, seed=0)
     with pytest.raises(ValueError):
         DpFtrlLearner(4, 0, NOISE_OFF, seed=0)
+    for bad in ({"kappa": 0.0}, {"radius": 0.0}, {"kappa": math.nan}, {"radius": math.nan}):
+        with pytest.raises(ValueError):
+            DpFtrlLearner(4, 2, NOISE_OFF, seed=0, **bad)
 
 
 def test_logistic_task_shapes_and_norms():

@@ -16,7 +16,6 @@ from contcount.mechanism import (
     MECHANISM_KINDS,
     PrivacyBudget,
     StreamingCounter,
-    binary_mechanism_run,
     matrix_mechanism_run,
     monte_carlo_mse,
     noise_multiplier,
@@ -47,6 +46,8 @@ def test_noise_multiplier_domain():
     with pytest.raises(ValueError):
         noise_multiplier(0.0, 1e-10)
     with pytest.raises(ValueError):
+        noise_multiplier(math.nan, 1e-10)
+    with pytest.raises(ValueError):
         noise_multiplier(1.0, 0.0)
     with pytest.raises(ValueError):
         noise_multiplier(1.0, 1.0)
@@ -59,6 +60,8 @@ def test_privacy_budget_validation():
     assert PrivacyBudget(math.inf, 1e-10, allow_large_epsilon=True).noise_multiplier == 0.0
     with pytest.raises(ValueError):
         PrivacyBudget(1.0, 0.0)
+    with pytest.raises(ValueError):
+        PrivacyBudget(math.nan, 1e-10, allow_large_epsilon=True)
     assert NOISE_OFF.noise_multiplier == 0.0
 
 
@@ -122,7 +125,7 @@ def test_streaming_noise_variance():
 
 def test_binary_mechanism_noise_off():
     x = np.array([1, 0, 1, 1, 0, 1, 1, 1])
-    out = binary_mechanism_run(x, NOISE_OFF, seed=3)
+    out = release("binary", x, NOISE_OFF, seed=3)
     assert np.array_equal(out, np.cumsum(x))
 
 
@@ -131,7 +134,7 @@ def test_binary_mechanism_matches_dense_oracle():
 
     for n, seed in ((4, 5), (8, 9), (13, 2)):
         x = (np.arange(n) % 2).astype(int)
-        out = binary_mechanism_run(x, BUDGET, seed)
+        out = release("binary", x, BUDGET, seed)
         full = 1 << max(0, (n - 1).bit_length())
         sigma = BUDGET.noise_multiplier * math.sqrt(1 + math.log2(full))
         y = _generator(seed).standard_normal(2 * full - 1) * sigma
@@ -173,20 +176,42 @@ def test_binary_mechanism_bit_identical_to_loop(n):
     for seed in (0, 17, 2**32 + 5):
         x = _generator(seed + n).integers(0, 2, n)
         assert np.array_equal(
-            binary_mechanism_run(x, BUDGET, seed), _binary_mechanism_loop(x, BUDGET, seed)
+            release("binary", x, BUDGET, seed), _binary_mechanism_loop(x, BUDGET, seed)
         )
+
+
+@pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 10**6])
+def test_binary_mechanism_bit_identical_to_tiles_at_large_n(n):
+    from tree_oracles import binary_counts_by_tiles
+
+    width = 2 * (1 << (n - 1).bit_length()) - 1
+    for seed in (0, 17, 2**32 + 5):
+        x = _generator(seed + n).integers(0, 2, n)
+        z = _generator(seed).standard_normal((1, width))
+        want = binary_counts_by_tiles(x, z, BUDGET.noise_multiplier)[0]
+        assert np.array_equal(release("binary", x, BUDGET, seed), want)
+
+
+def test_binary_block_bit_identical_to_tiles():
+    from tree_oracles import binary_counts_by_tiles
+
+    n = 5000
+    x = _generator(4).integers(0, 2, n)
+    z = mechanism._normals(9, 3, 2 * 8192 - 1)
+    want = binary_counts_by_tiles(x, z, BUDGET.noise_multiplier)
+    assert np.array_equal(mechanism._binary_counts(x, z, BUDGET.noise_multiplier), want)
 
 
 def test_binary_mechanism_accepts_bool_and_float_bits():
     x = np.array([1, 0, 1, 1, 0, 1, 1])
-    want = binary_mechanism_run(x, BUDGET, seed=8)
-    assert np.array_equal(binary_mechanism_run(x.astype(bool), BUDGET, seed=8), want)
-    assert np.array_equal(binary_mechanism_run(x.astype(float), BUDGET, seed=8), want)
+    want = release("binary", x, BUDGET, seed=8)
+    assert np.array_equal(release("binary", x.astype(bool), BUDGET, seed=8), want)
+    assert np.array_equal(release("binary", x.astype(float), BUDGET, seed=8), want)
 
 
 def test_binary_mechanism_rejects_non_bits():
     with pytest.raises(ValueError):
-        binary_mechanism_run(np.array([0, 2]), BUDGET, seed=0)
+        release("binary", np.array([0, 2]), BUDGET, seed=0)
 
 
 def test_matrix_mechanism_noise_off_exact():

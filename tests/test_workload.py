@@ -128,6 +128,8 @@ def test_err_lower_any_mechanism_variants():
     )
     with pytest.raises(ValueError):
         err_lower_bound_any_mechanism(8, 0.0)
+    with pytest.raises(ValueError):
+        err_lower_bound_any_mechanism(8, math.nan)
 
 
 def test_hadamard_examples():
