@@ -47,13 +47,23 @@ _ORACLE_MAX_ITER = 200_000
 def clip(g, kappa: float) -> np.ndarray:
     """Rescale g to Euclidean norm at most kappa."""
     g = np.asarray(g, dtype=np.float64)
-    if not kappa > 0:  # also refuses nan
-        raise ValueError(f"clip norm must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:  # also refuses nan
+        raise ValueError(f"clip norm kappa must be positive and finite, got {kappa}")
     # the value np.linalg.norm gives (it is sqrt(g . g) on vectors), at less cost per call
     norm = math.sqrt(float(g @ g))
     if norm <= kappa:
         return g.copy()
     return g * (kappa / norm)
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # also refuses nan
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_kappa_radius(kappa: float, radius: float) -> None:
+    _check_positive_finite("kappa", kappa)
+    _check_positive_finite("radius", radius)
 
 
 def project_ball(v, radius: float) -> np.ndarray:
@@ -70,12 +80,19 @@ def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: flo
     radius standing in for the unknowable norm of the post-hoc optimum:
 
     sqrt(2 n (1 + ln(4n/5)/pi) (kappa^2 + kappa C sqrt(d))) / radius.
+
+    A strength that overflows float64, or underflows to 0, is refused.
     """
-    if not radius > 0:  # also refuses nan
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_kappa_radius(kappa, radius)
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
-    return math.sqrt(2.0 * n * _upper_log_factor(n) * width) / radius
+    lam = math.sqrt(2.0 * n * _upper_log_factor(n) * width) / radius
+    if not 0 < lam < math.inf:
+        flow = "overflows" if lam else "underflows"
+        raise ValueError(
+            f"regularization strength {flow} float64 at kappa={kappa}, radius={radius}"
+        )
+    return lam
 
 
 def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float) -> float:
@@ -104,8 +121,7 @@ class DpFtrlLearner:
         n, d = int(n), int(d)
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if not (kappa > 0 and radius > 0):  # also refuses nan
-            raise ValueError("kappa and radius must be positive")
+        _check_kappa_radius(kappa, radius)
         self.n = n
         self.d = d
         self.budget = budget
@@ -224,8 +240,7 @@ def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
     norm ||theta - proj(theta - step * grad)|| / step drops below
     ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations.
     """
-    if not radius > 0:  # also refuses nan
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_positive_finite("radius", radius)
     # Smoothness constant of the average logistic loss is at most
     # max eig of (1/4n) sum x x^T <= 1/4 for unit-ball inputs.
     step = 4.0

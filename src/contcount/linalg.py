@@ -6,7 +6,10 @@ products.  Everything here operates on plain 2-D float64 numpy arrays
 bindings, which satisfy the tolerances documented on each function.  The
 Toeplitz product uses ``numpy.fft``; the package needs nothing but numpy.
 CSV text is read by ``np.loadtxt`` and written by ``format_csv_rows``,
-which builds the bytes of Python's ``%`` formatting in numpy.
+which builds the bytes of Python's ``%`` formatting in numpy: a chunk of
+rows is one uint8 matrix of NUL-padded cell slots, written a uint32 or
+uint64 word at a time from digit-group tables and compacted by one
+``bytes.translate``.
 
 All functions are pure and safe for concurrent use, except that
 ``read_matrix_csv`` swaps the process's warning filters while it parses.
@@ -249,9 +252,36 @@ _DIGITS4 = (
 )
 # Exact float64 powers of ten 10^0..10^20.
 _POW10 = np.array([float(10**k) for k in range(21)])
-# Digit j of an n-digit %d cell is kept when |v| >= _INT_KEEP[j - n] (the
-# last digit always).
-_INT_KEEP = np.array([10**k for k in range(18, 0, -1)] + [0], dtype=np.int64)
+
+
+def _group_tables():
+    """The 4-digit group tables of ``%d`` and ``%.17g``, indexed by the
+    group, plus 10^4 when the number has digits on the group's far side:
+    such a group prints all four digits.
+
+    ``_INT_WORDS`` (uint32 words; the far side is before the group): a group
+    with no digits before it has its leading zeros NUL, and a 0 there prints
+    "0" in the units group (row 1) and nothing in the groups above (row 0).
+    ``_SPREAD`` (uint64 words, the four digits at even bytes; the far side is
+    after the group): a group with no digits after it has its trailing
+    zeros NUL.
+    """
+    group = np.arange(10**4)
+    ndigits = 1 + (group >= 10).astype(np.int64) + (group >= 100) + (group >= 1000)
+    ntrailing = (group == 0).astype(np.int64)
+    for scale in (10, 100, 1000):
+        ntrailing += group % scale == 0
+    # first[k] masks bytes 0..k-1 of a word
+    first = ((np.arange(4) < np.arange(5)[:, None]) * np.uint8(255)).view(np.uint32)[:, 0]
+    int_words = np.stack([np.concatenate([_DIGITS4 & ~first[4 - ndigits], _DIGITS4])] * 2)
+    int_words[0, 0] = 0
+    spread = np.zeros((2 * 10**4, 8), dtype=np.uint8)
+    spread_digits = np.concatenate([_DIGITS4 & first[4 - ntrailing], _DIGITS4])
+    spread[:, ::2] = spread_digits.view(np.uint8).reshape(-1, 4)
+    return int_words, spread.view(np.uint64)[:, 0]
+
+
+_INT_WORDS, _SPREAD = _group_tables()
 
 
 def _veltkamp(a):
@@ -262,44 +292,46 @@ def _veltkamp(a):
 
 
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# 10^(16 - e) at e + 4: the 17 digits at decimal exponent e >= 0 have a
+# nonzero fraction when it does not divide them.  1 for e < 0, whose cells
+# have no point slot.
+_FRACTION_DIV = np.array([1] * 4 + [10 ** (16 - e) for e in range(17)], dtype=np.int64)
 
 
-def _g17_layout():
-    """Characters of the slots of a fixed-notation %.17g cell, and the
-    keep-mask of each (decimal exponent e, last nonzero digit, sign), in row
-    ((e + 4) * 17 + last) * 2 + sign.
+def _g17_templates():
+    """Slots of a fixed-notation %.17g cell for each (decimal exponent e,
+    fraction nonzero, sign), in row ((e + 4) * 2 + fraction) * 2 + sign, as
+    five uint64 words per row, word-major.
 
     The slots are a sign, "0." and three zeros (for e < 0), then each of the
-    17 digits followed by a decimal-point slot, then the separator.  The
-    integer part is kept whole, the fraction up to its last nonzero digit.
+    17 digits followed by a decimal-point slot.  Digit slots of the integer
+    part hold "0" and the others NUL, to be ORed with the digits.
     """
-    chars = np.frombuffer(b"-0.000" + b"0." * 17 + b",", dtype=np.uint8)
-    e, last, negative = np.indices((21, 17, 2)).reshape(3, -1, 1)
+    chars = np.frombuffer(b"-0.000" + b"0." * 17, dtype=np.uint8)
+    e, fraction, negative = np.indices((21, 2, 2)).reshape(3, -1, 1)
     e = e - 4
     digit = np.arange(17)
-    keep = np.empty((len(e), len(chars)), dtype=bool)
-    keep[:, :1] = negative
-    keep[:, 1:3] = e < 0
-    keep[:, 3:6] = np.arange(3) < -1 - e
-    keep[:, 6:40:2] = digit <= np.maximum(e, last)
-    keep[:, 7:41:2] = (digit == e) & (last > e)
-    keep[:, 40] = True
-    return chars, keep
+    printed = np.empty((len(e), len(chars)), dtype=bool)
+    printed[:, :1] = negative
+    printed[:, 1:3] = e < 0
+    printed[:, 3:6] = np.arange(3) < -1 - e
+    printed[:, 6::2] = digit <= e
+    printed[:, 7::2] = (digit == e) & (fraction == 1)
+    words = np.where(printed, chars, 0).astype(np.uint8).view(np.uint64)
+    return np.ascontiguousarray(words.T)
 
 
-_G17_CHARS, _G17_KEEP = _g17_layout()
+_G17_TEMPLATES = _g17_templates()
+# Word 0 of a %.17g cell holding only the leading digit d, at d.
+_G17_LEAD = np.zeros((10, 8), dtype=np.uint8)
+_G17_LEAD[:, 6] = np.arange(48, 58)
+_G17_LEAD = _G17_LEAD.view(np.uint64)[:, 0]
 
 
-def _decimal_digits(v, width):
-    """ASCII digits of the int64 values 0 <= v < 10^width, zero-padded to
-    ``width`` (a multiple of 4), one row per value."""
-    groups = np.empty((len(v), width // 4), dtype=np.int64)
-    for j in range(width // 4 - 1, 0, -1):
-        q = v // 10**4
-        groups[:, j] = v - q * 10**4
-        v = q
-    groups[:, 0] = v
-    return _DIGITS4[groups].view(np.uint8)
+def _store(out, start, words):
+    """Write ``words``, one per cell of ``out``, at slot ``start`` of each."""
+    view = out[..., start : start + words.itemsize].view(words.dtype)[..., 0]
+    view[...] = words.reshape(view.shape)
 
 
 def _rounded_17(a, e):
@@ -319,71 +351,67 @@ def _rounded_17(a, e):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _g17_slots(x):
-    """Slots of ``"%.17g" % v`` for the float64 cells of ``x`` that print in
-    fixed notation, 1e-4 <= |v| < 1e17, and the mask of the other cells."""
+def _g17_cells(x):
+    """Slot count, writer and fallback cells of ``"%.17g" % v`` on float64:
+    the writer fills the 40 slots (``_g17_templates``) of the cells that
+    print in fixed notation, 1e-4 <= |v| < 1e17; the flat indices of the
+    others are left to ``%``."""
     ax = np.abs(x)
     slow = ~((ax >= 1e-4) & (ax < 1e17))  # also nan
-    a = np.where(slow, 1.0, ax)
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    digits = _rounded_17(a, e)
-    # next to a power of ten log10 may put e one off, and rounding to 17
-    # digits may carry into an 18th: move e once and round again
-    shift = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
-    fix = np.flatnonzero(shift)
-    if fix.size:
-        e[fix] += shift[fix]
-        digits[fix] = _rounded_17(a[fix], e[fix])
-    ascii_digits = _decimal_digits(digits, 20)[:, 3:]
-    last = 16 - np.argmax(ascii_digits[:, ::-1] != 48, axis=1)  # last nonzero digit
-    chars = np.empty((len(x), len(_G17_CHARS)), dtype=np.uint8)
-    chars[:] = _G17_CHARS
-    chars[:, 6:40:2] = ascii_digits
-    return chars, _G17_KEEP[((e + 4) * 17 + last) * 2 + (x < 0)], slow
+
+    def write(out):
+        a = np.where(slow, 1.0, ax).reshape(-1)
+        e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+        digits = _rounded_17(a, e)
+        # next to a power of ten log10 may put e one off, and rounding to 17
+        # digits may carry into an 18th: move e once and round again
+        fix = np.flatnonzero((digits >= 10**17) | (digits < 10**16))
+        if fix.size:
+            e[fix] += np.where(digits[fix] >= 10**17, 1, -1)
+            digits[fix] = _rounded_17(a[fix], e[fix])
+        e4 = e + 4
+        row = 4 * e4 + 2 * (digits % _FRACTION_DIV[e4] != 0) + (x.reshape(-1) < 0)
+        lead = digits // 10**16
+        _store(out, 0, _G17_TEMPLATES[0][row] | _G17_LEAD[lead])
+        rest = digits - lead * 10**16
+        for k in range(1, 4):  # word k holds digits 4k - 3 .. 4k
+            scale = 10 ** (16 - 4 * k)
+            group = rest // scale
+            rest = rest - group * scale
+            _store(out, 8 * k, _G17_TEMPLATES[k][row] | _SPREAD[group + (rest != 0) * 10**4])
+        _store(out, 32, _G17_TEMPLATES[4][row] | _SPREAD[rest])
+
+    return _G17_TEMPLATES.shape[0] * 8, write, np.flatnonzero(slow)
 
 
-def _int_slots(v):
-    """Slots of ``"%d" % v`` for the int64 cells of ``v`` other than -2^63
-    (whose absolute value overflows), and the mask of those."""
-    slow = v == np.iinfo(np.int64).min
-    a = np.abs(np.where(slow, 0, v))
-    ndigits = 19 if slow.any() else len(str(int(a.max())))
-    chars = np.empty((len(v), ndigits + 2), dtype=np.uint8)
-    chars[:, 0], chars[:, -1] = ord("-"), ord(",")
-    chars[:, 1:-1] = _decimal_digits(a, -(-ndigits // 4) * 4)[:, -ndigits:]
-    keep = np.empty(chars.shape, dtype=bool)
-    keep[:, 0] = v < 0
-    keep[:, 1:-1] = a[:, None] >= _INT_KEEP[-ndigits:]
-    keep[:, -1] = True
-    return chars, keep, slow
+def _int_cells(v):
+    """Slot count, writer and (no) fallback cells of ``"%d" % v`` on int64:
+    a sign slot if any v is negative, then 4-digit groups of |v| (-2^63
+    included, as uint64), as many as the largest |v| needs."""
+    a = np.abs(v).reshape(-1).view(np.uint64)  # abs(-2^63) is -2^63: 2^63 as uint64
+    ngroups = -(-len(str(int(a.max()))) // 4)
+    signed = int(v.min() < 0)
+
+    def write(out):
+        if signed:
+            out[..., 0] = (v < 0) * np.uint8(45)  # "-"
+        rest = a
+        for j in range(ngroups - 1, 0, -1):
+            q = rest // 10**4
+            # the group, plus 10^4 if digits precede it (q > 0)
+            column = rest - (q - (q > 0)) * 10**4
+            _store(out, signed + 4 * j, _INT_WORDS[int(j == ngroups - 1)][column.view(np.int64)])
+            rest = q
+        _store(out, signed, _INT_WORDS[int(ngroups == 1)][rest.view(np.int64)])
+
+    return signed + 4 * ngroups, write, np.empty(0, dtype=np.intp)
 
 
-def _cell_slots(conversion, values):
-    """One row of character slots per cell of ``values`` (row-major), with
-    the mask of the slots that ``conversion % value`` keeps, ending in a kept
-    ``,`` slot.  ``%.17g`` on float64 and ``%d`` on int64 are built in numpy;
-    every other cell is formatted by ``%`` itself into the same slots."""
-    flat = values.reshape(-1)
-    if conversion == "%.17g" and flat.dtype == np.float64:
-        chars, keep, slow = _g17_slots(flat)
-    elif conversion == "%d" and flat.dtype == np.int64:
-        chars, keep, slow = _int_slots(flat)
-    else:
-        chars = keep = None
-        slow = np.ones(len(flat), dtype=bool)
-    rows = np.flatnonzero(slow)
-    if rows.size:
-        texts = [(conversion % value).encode() for value in flat[rows].tolist()]
-        if chars is None:
-            width = max(map(len, texts)) + 1
-            chars = np.full((len(flat), width), ord(","), dtype=np.uint8)
-            keep = np.ones(chars.shape, dtype=bool)
-        width = chars.shape[1] - 1  # every fallback text fits the fast layout
-        chars[rows, :-1] = np.frombuffer(
-            b"".join(t.ljust(width) for t in texts), dtype=np.uint8
-        ).reshape(len(rows), width)
-        keep[rows, :-1] = np.arange(width) < np.array([len(t) for t in texts])[:, None]
-    return chars, keep
+def _percent_rows(conversions, cells) -> str:
+    """``format_csv_rows`` by Python's ``%``, one row at a time."""
+    row_format = ",".join(c for c, col in zip(conversions, cells) for _ in range(col.shape[1]))
+    entries = [entry for col in cells for entry in col.T.tolist()]
+    return "".join((row_format + "\n") % row for row in zip(*entries))
 
 
 def format_csv_rows(row_format: str, columns) -> str:
@@ -392,16 +420,42 @@ def format_csv_rows(row_format: str, columns) -> str:
 
     ``row_format`` is conversions (``%d``, ``%.17g``, ``%s``, ...) joined by
     commas and ended by a newline, one per column; a 2-D column fills one
-    cell per entry of its row with its conversion.  Each cell becomes a row
-    of character slots and a keep-mask (see ``_cell_slots``); one boolean
-    compress of all slots gives the text.
+    cell per entry of its row with its conversion.  The rows are one uint8
+    matrix in which every cell owns a fixed run of slots, ended by its
+    separator.  ``%.17g`` on float64 and ``%d`` on int64 write their slots in
+    numpy (``_g17_cells``, ``_int_cells``); every other cell is formatted by
+    ``%`` itself into its slots.  Slots a cell does not print hold NUL, and
+    one ``bytes.translate`` drops them all.  A chunk in which ``%`` prints a
+    NUL goes through ``_percent_rows`` instead.
     """
     conversions = row_format[:-1].split(",")
     if not row_format.endswith("\n") or len(conversions) != len(columns):
         raise ValueError(f"row format {row_format!r} does not match {len(columns)} columns")
     n = len(columns[0])
-    slots = [_cell_slots(c, np.asarray(col)) for c, col in zip(conversions, columns)]
-    chars = np.concatenate([c.reshape(n, -1) for c, _ in slots], axis=1)
-    keep = np.concatenate([k.reshape(n, -1) for _, k in slots], axis=1)
+    cells = [np.asarray(col).reshape(n, -1) for col in columns]
+    layouts = []
+    for conversion, values in zip(conversions, cells):
+        if conversion == "%.17g" and values.dtype == np.float64:
+            width, write, where = _g17_cells(values)
+        elif conversion == "%d" and values.dtype == np.int64:
+            width, write, where = _int_cells(values)
+        else:
+            width, write, where = 0, None, np.arange(values.size)
+        texts = [(conversion % value).encode() for value in values.reshape(-1)[where].tolist()]
+        if any(b"\0" in t for t in texts):
+            return _percent_rows(conversions, cells)
+        width = max([width, *map(len, texts)])  # fast slots hold every fallback text
+        layouts.append((values.shape[1], width, write, where, texts))
+    chars = np.zeros((n, sum(m * (width + 1) for m, width, *_ in layouts)), dtype=np.uint8)
+    start = 0
+    for m, width, write, where, texts in layouts:
+        out = chars[:, start : start + m * (width + 1)].reshape(n, m, width + 1)
+        start += m * (width + 1)
+        if write is not None:
+            write(out[..., :-1])
+        if texts:
+            padded = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8)
+            out[where // m, where % m, :-1] = padded.reshape(-1, width)
+        out[..., -1] = ord(",")
     chars[:, -1] = ord("\n")
-    return np.compress(keep.reshape(-1), chars).tobytes().decode()
+    return chars.tobytes().translate(None, b"\0").decode()

@@ -278,13 +278,18 @@ class StreamingCounter:
 
     def step(self, x_t: int) -> float:
         """Consume one stream bit and return the noisy running count."""
-        if self.t >= self.n:
+        t = self.t
+        if t >= self.n:
             raise ValueError(f"horizon {self.n} exceeded")
-        if x_t not in (0, 1):
+        if x_t == 1:
+            s = self.running_sum + 1
+        elif x_t == 0:
+            s = self.running_sum
+        else:
             raise ValueError(f"stream elements must be bits, got {x_t!r}")
-        self.running_sum += int(x_t)
-        self.t += 1
-        return self.running_sum + self.noise.item(self.t - 1)
+        self.running_sum = s
+        self.t = t + 1
+        return s + self.noise.item(t)
 
 
 def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: int) -> np.ndarray:

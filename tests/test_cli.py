@@ -17,7 +17,7 @@ from contcount import certificates, cli, factorization, workload
 from contcount.cli import main
 from contcount.factorization import sqrt_coefficients, suboptimality_ratio
 from contcount.ftrl import clip, logistic_task, project_ball, run_dp_ftrl_logistic
-from contcount.linalg import write_matrix_csv
+from contcount.linalg import format_csv_rows, write_matrix_csv
 from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, release
 from contcount.workload import counting_matrix
 
@@ -428,9 +428,10 @@ def _reference_count_csv(bits, noisy):
 
 
 @pytest.mark.parametrize("kind", MECHANISM_KINDS)
-# 1023..1025 lie inside one chunk; CHUNK_ROWS - 1..CHUNK_ROWS + 1 straddle its end
+# 1023..2049 lie inside one chunk; CHUNK_ROWS - 1..CHUNK_ROWS + 1 straddle its end
 @pytest.mark.parametrize(
-    "n", [1, 1023, 1024, 1025, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1]
+    "n",
+    [1, 1023, 1024, 1025, 2047, 2048, 2049, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1],
 )
 def test_count_output_matches_row_formatter(tmp_path, capsys, kind, n):
     bits = np.random.default_rng(n).integers(0, 2, size=n)
@@ -457,7 +458,7 @@ def test_writer_formats_every_float_like_format(capsys):
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 1024, 1025, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2048, 2049, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
 def test_coeffs_output_matches_row_formatter(capsys, n):
     coeffs = sqrt_coefficients(n).coeffs
     want = "index,value\n" + "".join(f"{k},{format(float(v), '.17g')}\n" for k, v in enumerate(coeffs))
@@ -751,8 +752,11 @@ def test_writer_matches_percent_writer_on_ints_and_objects():
     _assert_writer_matches("%d\n", [np.array([2**63 - 1], dtype=np.int64)])
 
 
+# 2047..6151 also check row counts that are not chunk edges
 @pytest.mark.parametrize(
-    "n", [1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 3 * cli.CHUNK_ROWS + 7]
+    "n",
+    [1, 2047, 2048, 2049, 6151]
+    + [cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 3 * cli.CHUNK_ROWS + 7],
 )
 def test_writer_matches_percent_writer_across_chunks(tmp_path, n):
     rng = np.random.default_rng(n)
@@ -765,3 +769,124 @@ def test_writer_matches_percent_writer_across_chunks(tmp_path, n):
     cli._emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, str(path))
     want = _reference_emit("t,true_count,noisy_count", "%d,%d,%.17g\n", columns)
     assert path.read_bytes() == want.encode()
+
+
+def test_writer_keeps_nul_in_percent_s_cells():
+    labels = np.array(["a\0b", "", "\0", "plain", "tail\0", "naïve\0"], dtype=object)
+    ints = np.array([1, -2, 30000, 4, 10**12, -(2**63)], dtype=np.int64)
+    floats = np.array([0.5, -1e20, 3.25, 0.0, math.nan, 1e-7])
+    _assert_writer_matches("%s\n", [labels])
+    _assert_writer_matches("%s\n", [np.array(["x\0y", "z"])])
+    _assert_writer_matches("%d,%s,%.17g\n", [ints, labels, floats])
+    _assert_writer_matches("%.17g,%d,%s\n", [floats, ints, labels])
+    # one chunk holds a NUL, the others go through the slot matrix
+    n = 2 * cli.CHUNK_ROWS + 5
+    text = np.resize(np.array(["a", "bc", "€"], dtype=object), n)
+    text[cli.CHUNK_ROWS + 3] = "\0"
+    _assert_writer_matches("%d,%s,%.17g\n", [np.arange(n), text, np.linspace(-2.0, 2.0, n)])
+
+
+# %d words hold 4 digits: values on both sides of each word edge
+INT_WORD_EDGES = np.array(
+    [v * s for v in (0, 1, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**16, 10**18) for s in (1, -1)]
+    + [2**63 - 1, -(2**63 - 1), -(2**63)],
+    dtype=np.int64,
+)
+
+
+def test_writer_matches_percent_writer_on_int_word_edges():
+    _assert_writer_matches("%d\n", [INT_WORD_EDGES])
+    for value in INT_WORD_EDGES:
+        _assert_writer_matches("%d\n", [np.array([value], dtype=np.int64)])
+    _assert_writer_matches("%d\n", [np.abs(INT_WORD_EDGES[:-1])])
+    _assert_writer_matches("%d,%d\n", [INT_WORD_EDGES, INT_WORD_EDGES[::-1]])
+
+
+def test_writer_matches_percent_writer_on_mixed_width_columns():
+    rng = np.random.default_rng(9)
+    n = 300
+    narrow = rng.integers(0, 10, n)
+    wide = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+    middle = rng.integers(10**7, 10**9, n)
+    floats = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 20, n)
+    _assert_writer_matches("%d,%d,%.17g,%d\n", [narrow, wide, floats, middle])
+    _assert_writer_matches("%.17g,%d,%d\n", [floats, middle, narrow])
+    # a 2-D column fills one cell per entry
+    columns = [narrow, wide, middle, floats]
+    want = _reference_emit("h", "%d,%d,%d,%.17g\n", columns)
+    assert "h\n" + format_csv_rows("%d,%.17g\n", [np.stack(columns[:3], axis=1), floats]) == want
+
+
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("n", [9999, 10000, 10001])
+def test_count_output_matches_row_formatter_at_fifth_t_digit(tmp_path, capsys, kind, n):
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    path = tmp_path / "bits.txt"
+    path.write_text("".join(f"{b}\n" for b in bits))
+    noisy = release(kind, bits, PrivacyBudget(1.0, 1e-10), 5)
+    args = ["count", "--input", str(path), "--mechanism", kind, "--seed", "5"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == _reference_count_csv(bits, noisy)
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1\n0\n1\n1\n")
+    runs = [
+        ["count", "--input", str(bits), "--seed", "3"],
+        ["count", "--input", str(bits), "--n", "x"],  # usage error, exit 2
+        ["compare", "--n-max", "64"],
+        ["count", "--input", str(bits), "--mechanism", "binary", "--eps", "0.5", "--n", "3"],
+    ]
+
+    def outcome(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    want = []
+    for args in runs:  # each with a fresh parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        want.append(outcome(args))
+    assert [code for code, _, _ in want] == [0, 2, 0, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    calls = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+    assert [outcome(args) for args in runs] == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--kappa=inf"], "kappa must be positive and finite, got inf"),
+        (["--kappa=-inf"], "kappa must be positive and finite, got -inf"),
+        (["--radius=inf"], "radius must be positive and finite, got inf"),
+        (
+            ["--kappa=1e308"],
+            "regularization strength overflows float64 at kappa=1e+308, radius=1.0",
+        ),
+        (
+            ["--kappa=1e-300", "--radius=1e300"],
+            "regularization strength underflows float64 at kappa=1e-300, radius=1e+300",
+        ),
+    ],
+)
+def test_ftrl_refuses_non_finite_parameters(capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["ftrl", "--n", "8", "--d", "2", *flags], capsys)
+    assert (code, out, err) == (1, "", f"contcount: error: {message}\n")
+
+
+def test_ftrl_accepts_infinite_epsilon(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["ftrl", "--n", "8", "--d", "2", "--eps", "inf"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("seed,regret,bound\n0,")

@@ -67,6 +67,31 @@ def test_radius_must_be_positive():
             minimize_logistic_in_ball(task, radius)
 
 
+def test_non_finite_kappa_and_radius_are_refused():
+    task = logistic_task(8, 2, seed=0)
+    for value in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            clip([1.0], value)
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            lambda_star(5, value, 3, BUDGET, 1.0)
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            DpFtrlLearner(4, 2, BUDGET, seed=0, kappa=value)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            lambda_star(5, 1.0, 3, BUDGET, value)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            DpFtrlLearner(4, 2, BUDGET, seed=0, radius=value)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            minimize_logistic_in_ball(task, value)
+    # finite parameters whose regularization strength overflows float64
+    for kappa, radius in ((1e308, 1.0), (1e200, 1.0), (1.0, 1e-320)):
+        with pytest.raises(ValueError, match="regularization strength overflows"):
+            lambda_star(5, kappa, 3, BUDGET, radius)
+        with pytest.raises(ValueError, match="regularization strength overflows"):
+            DpFtrlLearner(4, 2, BUDGET, seed=0, kappa=kappa, radius=radius)
+    with pytest.raises(ValueError, match="regularization strength underflows"):
+        lambda_star(5, 1e-300, 3, BUDGET, 1e300)
+
+
 def test_regret_bound_examples():
     assert regret_bound(5, 1.0, 3, NOISE_OFF, 1.0) == pytest.approx(
         0.379640777618172, rel=1e-12

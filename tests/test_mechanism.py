@@ -96,6 +96,21 @@ def test_streaming_counter_errors():
         StreamingCounter(0, BUDGET, seed=0)
 
 
+def test_streaming_step_accepts_bit_like_values_only():
+    # the bits the step accepts and refuses are those of `x_t in (0, 1)`
+    bits = [1, True, np.int64(1), 1.0, np.float64(0.0), 0, False, np.uint8(1)]
+    counter = StreamingCounter(len(bits), BUDGET, seed=4)
+    reference = StreamingCounter(len(bits), BUDGET, seed=4)
+    for bit in bits:
+        for bad in (2, -1, 0.5, "1", None, math.nan):
+            with pytest.raises(ValueError, match=f"must be bits, got {bad!r}"):
+                counter.step(bad)
+        got = counter.step(bit)
+        assert type(got) is float and type(counter.running_sum) is int
+        assert got == reference.step(int(bit))
+    assert counter.t == len(bits) and counter.running_sum == 5
+
+
 def test_streaming_matches_dense_path():
     n = 64
     seed = 42
