@@ -17,7 +17,6 @@ from .certificates import (
 )
 from .factorization import (
     Factorization,
-    ToeplitzFactor,
     binary_factorization,
     double_factorial_ratio,
     expected_mse,

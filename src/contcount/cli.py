@@ -12,26 +12,8 @@ Every command is deterministic given its flags (and seed).  Each one
 computes numpy columns from library calls and hands them to one CSV writer,
 ``_emit_columns``: a header row, then rows formatted and written
 ``CHUNK_ROWS`` at a time (memory does not grow with n), to stdout or to the
-``--out`` file.  The bytes are those of ``row_format % row`` for each row
-(``%d``, ``%.17g`` or ``%s`` per column), built in numpy by
-``linalg.format_csv_rows`` in one uint8 matrix per chunk, where every cell
-owns a fixed run of slots and the slots it does not print hold NUL; one
-``bytes.translate`` drops them:
-
-* ``%d`` on int64: a sign slot, then 4-digit groups of |x| from repeated
-  division by 10^4, each one uint32 word from a table whose leading group
-  has NUL for its leading zeros.
-* ``%.17g`` on float64 prints fixed notation exactly when the decimal
-  exponent E after rounding to 17 digits is in [-4, 16].  There 10^(16-E)
-  is exact, so Dekker's error-free product gives |x| 10^(16-E) = hi + lo
-  exactly, and hi + round-half-even(lo) is the 17 correctly rounded digits.
-  E comes from floor(log10|x|), moved once if the digits fall outside
-  [10^16, 10^17).  The cell is five uint64 words: a template chosen by E,
-  the sign and whether the fraction is nonzero, ORed with the digits four
-  at a time, whose trailing zeros are NUL.
-* Every other cell is formatted by Python's ``%`` itself: floats with
-  |x| < 1e-4 or >= 1e17, zeros, nan and infinities; and object or ``%s``
-  columns.  A chunk where ``%`` prints a NUL is formatted by ``%`` whole.
+``--out`` file, with the bytes of ``row_format % row`` for each row, built
+in numpy by ``linalg.format_csv_rows``.
 
 ``main`` builds its argparse parser on its first call and reuses it.
 
@@ -121,7 +103,7 @@ def _budget(eps: float, delta: float) -> PrivacyBudget:
 
 
 def cmd_coeffs(args) -> int:
-    coeffs = sqrt_coefficients(args.n).coeffs
+    coeffs = sqrt_coefficients(args.n)
     _emit_columns("index,value", "%d,%.17g\n", [np.arange(len(coeffs)), coeffs], args.out)
     return 0
 

@@ -36,7 +36,6 @@ from .workload import _upper_log_factor, counting_matrix
 
 __all__ = [
     "DENSE_LIMIT",
-    "ToeplitzFactor",
     "Factorization",
     "sqrt_coefficients",
     "double_factorial_ratio",
@@ -55,24 +54,6 @@ __all__ = [
 
 # Largest n for which dense factor matrices may be materialized.
 DENSE_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class ToeplitzFactor:
-    """Coefficient view of the square-root factor: coeffs[k] = f(k)."""
-
-    n: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.coeffs) != self.n:
-            raise ValueError("coefficient length must equal n >= 1")
-        if self.coeffs[0] != 1.0:
-            raise ValueError("f(0) must be 1")
-
-    def row_norms_sq(self) -> np.ndarray:
-        """All row norms squared at once: entry t-1 is ||L[t,:]||_2^2."""
-        return np.cumsum(self.coeffs**2)
 
 
 @dataclass(frozen=True)
@@ -98,8 +79,9 @@ class Factorization:
         return linalg.col_norm_1to2(self.right)
 
 
-def sqrt_coefficients(n: int) -> ToeplitzFactor:
-    """Toeplitz coefficients of the square-root factorization.
+def sqrt_coefficients(n: int) -> np.ndarray:
+    """Toeplitz coefficients f(0), ..., f(n-1) of the square-root factor,
+    as float64.
 
     f(0) = 1 and f(k) = (1 - 1/(2k)) f(k-1); equivalently the double
     factorial ratio (2k-1)!!/(2k)!!.
@@ -111,7 +93,7 @@ def sqrt_coefficients(n: int) -> ToeplitzFactor:
     if n > 1:
         k = np.arange(1, n, dtype=np.float64)
         terms[1:] = 1.0 - 1.0 / (2.0 * k)
-    return ToeplitzFactor(n=n, coeffs=np.cumprod(terms))
+    return np.cumprod(terms)
 
 
 def double_factorial_ratio(k: int) -> Fraction:
@@ -128,24 +110,24 @@ def double_factorial_ratio(k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def factor_row_norm_sq(factor: ToeplitzFactor, t: int) -> float:
+def factor_row_norm_sq(coeffs: np.ndarray, t: int) -> float:
     """Squared norm of row t of the square-root factor: 1 + sum_{i<t} f(i)^2.
 
     This is also the squared maximum column norm of the t x t principal
     submatrix.  A valid closed-form cap is 1 + ln(4t - 3)/pi (asserted in
     the tests); tighter constants circulate but fail numerically.
     """
-    if not 1 <= t <= factor.n:
-        raise ValueError(f"row index must be in [1, {factor.n}], got {t}")
-    return float(np.sum(factor.coeffs[:t] ** 2))
+    if not 1 <= t <= len(coeffs):
+        raise ValueError(f"row index must be in [1, {len(coeffs)}], got {t}")
+    return float(np.sum(coeffs[:t] ** 2))
 
 
-def factor_frobenius_sq(factor: ToeplitzFactor) -> float:
-    """Squared Frobenius norm of the square-root factor (sum of row norms)."""
+def factor_frobenius_sq(coeffs: np.ndarray) -> float:
+    """Squared Frobenius norm of the square-root factor with coefficients
+    ``coeffs`` (sum of row norms)."""
     # row t contributes sum_{j < t} f(j)^2, so f(j)^2 appears n - j times
-    n = factor.n
-    weights = np.arange(n, 0, -1, dtype=np.float64)
-    return float(np.sum(weights * factor.coeffs**2))
+    weights = np.arange(len(coeffs), 0, -1, dtype=np.float64)
+    return float(np.sum(weights * coeffs**2))
 
 
 def _dense_guard(n: int, kind: str) -> int:
@@ -163,7 +145,7 @@ def _dense_guard(n: int, kind: str) -> int:
 def sqrt_factorization(n: int) -> Factorization:
     """Dense L = R = lower-triangular Toeplitz factorization of the counting matrix."""
     n = _dense_guard(n, "sqrt")
-    mat = linalg.lower_toeplitz(sqrt_coefficients(n).coeffs)
+    mat = linalg.lower_toeplitz(sqrt_coefficients(n))
     return Factorization(left=mat, right=mat)
 
 

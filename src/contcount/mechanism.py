@@ -1,13 +1,13 @@
 """Private counting mechanisms and their Monte-Carlo error harness.
 
 Every mechanism releases the exact prefix sums plus correlated noise L z.
-Each has one function from a (b, width) block of standard normals, one
-row per release, to b outputs: ``_sqrt_noise`` (square-root Toeplitz),
-``_binary_counts`` (the tree, in O(n) by out[t] = out[t - lowbit(t)] +
-noisy block), ``_honaker_noise`` (Honaker's tree estimator, with no dense
-matrix) and ``_matrix_counts`` (an explicit dense factorization, which
-``release`` uses only when handed one for ``"honaker"``).  ``release``
-runs them on one row, ``monte_carlo_mse`` on blocks of trials.
+``_MECHANISMS`` maps each kind to one function from a (b, width) block of
+standard normals, one row per release, to b outputs, built on
+``_sqrt_noise`` (square-root Toeplitz), ``_binary_counts`` (the tree, in
+O(n) by out[t] = out[t - lowbit(t)] + noisy block) or ``_honaker_noise``
+(Honaker's tree estimator, with no dense matrix).  ``_matrix_counts`` does
+the same for an explicit dense factorization (``matrix_mechanism_run``).
+``release`` runs them on one row, ``monte_carlo_mse`` on blocks of trials.
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,8 +53,6 @@ __all__ = [
     "release",
     "monte_carlo_mse",
 ]
-
-MECHANISM_KINDS = ("factorization", "binary", "honaker")
 
 # Most standard normals ``monte_carlo_mse`` holds in one block of trials
 # (2 MB of float64), so its memory does not grow with trials * n.
@@ -127,7 +126,7 @@ def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
     """Square-root factorization noise, in place: each row of the (b, n)
     normals ``g`` becomes L g_row, then all are scaled by
     ``multiplier * ||R||_{1->2}``.  Returns ``g``."""
-    coeffs = sqrt_coefficients(g.shape[-1]).coeffs
+    coeffs = sqrt_coefficients(g.shape[-1])
     # one row at a time: a 2-D FFT over rows would not match the 1-D one bit for bit
     for row in g:
         row[...] = toeplitz_lower_matvec(coeffs, row)
@@ -223,36 +222,34 @@ def _matrix_counts(fact: Factorization, x, z: np.ndarray, multiplier: float) -> 
     return np.matmul(fact.left, z[..., None])[..., 0]
 
 
-def _check_mechanism(kind: str, fact: Factorization | None) -> None:
-    if kind not in MECHANISM_KINDS:
-        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
-    if fact is not None and kind != "honaker":
-        raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
-
-
-def _draw_width(kind: str, n: int, fact: Factorization | None) -> int:
-    """Standard normals one release of ``kind`` over n rounds draws."""
-    if fact is not None:
-        return fact.right.shape[0]
-    return n if kind == "factorization" else 2 * _next_pow2(n) - 1
-
-
-def _noisy_counts(
-    kind: str, x: np.ndarray, z: np.ndarray, multiplier: float, fact: Factorization | None
-) -> np.ndarray:
-    """The (b, n) releases of mechanism ``kind`` on the bits ``x``, one per
-    row of the standard normals ``z`` (overwritten)."""
-    if kind == "binary":
-        return _binary_counts(x, z, multiplier)
-    if fact is not None:
-        return _matrix_counts(fact, x, z, multiplier)
-    if kind == "factorization":
-        noise = _sqrt_noise(z, multiplier)
-    else:
-        noise = _honaker_noise(z, multiplier, x.shape[0])
-    # added last, so the prefix sums are not held while the noise is built
+def _plus_prefix(x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``noise`` plus cumsum(x), in place: added after the noise is built, so
+    the prefix sums are not held while it is."""
     noise += np.cumsum(x)
     return noise
+
+
+def _tree_width(n: int) -> int:
+    return 2 * _next_pow2(n) - 1
+
+
+# kind -> (draw_width, counts): the standard normals one release over n
+# rounds draws, draw_width(n), and the (b, n) releases on the bits x, one
+# per row of the (b, draw_width(n)) normals z (overwritten), at noise
+# multiplier c.
+_MECHANISMS = {
+    "factorization": (lambda n: n, lambda x, z, c: _plus_prefix(x, _sqrt_noise(z, c))),
+    "binary": (_tree_width, _binary_counts),
+    "honaker": (_tree_width, lambda x, z, c: _plus_prefix(x, _honaker_noise(z, c, x.shape[0]))),
+}
+MECHANISM_KINDS = tuple(_MECHANISMS)
+
+
+def _mechanism(kind: str):
+    """The (draw_width, counts) entry of ``kind`` in ``_MECHANISMS``."""
+    if kind not in MECHANISM_KINDS:
+        raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
+    return _MECHANISMS[kind]
 
 
 class StreamingCounter:
@@ -298,23 +295,19 @@ def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: in
     return _matrix_counts(fact, x, z, budget.noise_multiplier)[0]
 
 
-def release(
-    kind: str, bits, budget: PrivacyBudget, seed: int, fact: Factorization | None = None
-) -> np.ndarray:
+def release(kind: str, bits, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Noisy prefix counts of a non-empty 1-D bit stream under mechanism ``kind``.
 
     ``"factorization"`` is ``cumsum(bits)`` plus ``_sqrt_noise``, byte for
     byte what ``StreamingCounter.step`` returns; ``"binary"`` runs
     ``_binary_counts``; ``"honaker"`` is ``cumsum(bits)`` plus
-    ``_honaker_noise``, with no dense matrix and no limit on n.  An explicit
-    ``fact`` is accepted only with ``"honaker"`` and runs the generic
-    ``_matrix_counts`` with it instead (the dense oracle path).  All of
-    them draw one row of normals from ``PCG64(seed)``.
+    ``_honaker_noise``, with no dense matrix and no limit on n.  All of
+    them draw one row of normals from ``PCG64(seed)``.  The dense matrix
+    mechanism is ``matrix_mechanism_run``.
     """
-    _check_mechanism(kind, fact)
+    draw_width, counts = _mechanism(kind)
     x = _check_bits(bits)
-    z = _normals(seed, 1, _draw_width(kind, x.shape[0], fact))
-    return _noisy_counts(kind, x, z, budget.noise_multiplier, fact)[0]
+    return counts(x, _normals(seed, 1, draw_width(x.shape[0])), budget.noise_multiplier)[0]
 
 
 def monte_carlo_mse(
@@ -333,9 +326,9 @@ def monte_carlo_mse(
     ``release`` draws from seed + i; the trials are mapped to outputs in
     blocks of at most ``_BLOCK_VALUES`` normals, by the functions
     ``release`` runs, so each trial's error is byte for byte that of
-    ``release(kind, zeros, budget, seed + i, fact)``.  ``fact`` selects,
-    for ``"honaker"``, the dense ``_matrix_counts`` path; for other kinds
-    it is refused.
+    ``release(kind, zeros, budget, seed + i)``.  ``fact`` is accepted only
+    with ``"honaker"``: the trials then run the dense ``_matrix_counts``,
+    byte for byte ``matrix_mechanism_run(fact, zeros, budget, seed + i)``.
     """
     n = int(n)
     trials = int(trials)
@@ -343,17 +336,22 @@ def monte_carlo_mse(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    _check_mechanism(kind, fact)
+    draw_width, counts = _mechanism(kind)
+    width = draw_width(n)
+    if fact is not None:
+        if kind != "honaker":
+            raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
+        width = fact.right.shape[0]
+        counts = partial(_matrix_counts, fact)
     zeros = np.zeros(n, dtype=np.int64)
-    width = _draw_width(kind, n, fact)
     rows = max(1, _BLOCK_VALUES // width)
 
     per_trial = np.empty(trials)
     for start in range(0, trials, rows):
         z = _normals(seed + start, min(rows, trials - start), width)
-        counts = _noisy_counts(kind, zeros, z, budget.noise_multiplier, fact)
+        block = counts(zeros, z, budget.noise_multiplier)
         # a row-wise mean: each trial's pairwise sum runs over its own row
-        per_trial[start : start + len(z)] = np.mean(counts**2, axis=1)
+        per_trial[start : start + len(z)] = np.mean(block**2, axis=1)
 
     estimate = float(np.mean(per_trial))
     if trials == 1:

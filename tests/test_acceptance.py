@@ -48,7 +48,7 @@ def test_criterion_01_factorization_exactness():
 
 
 def test_criterion_02_coefficient_identity():
-    coeffs = cc.sqrt_coefficients(10_001).coeffs
+    coeffs = cc.sqrt_coefficients(10_001)
     worst_rel = 0.0
     for k in range(201):
         exact = cc.double_factorial_ratio(k)

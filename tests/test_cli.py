@@ -265,6 +265,21 @@ def test_clip_and_project_match_linalg_norm_reference():
         assert np.array_equal(project_ball(v, bound), _reference_project_ball(v, bound))
 
 
+def test_count_help_lists_the_mechanism_kinds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert "--mechanism {" + ",".join(MECHANISM_KINDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_ftrl_refuses_an_overflowing_iterate(capsys):
+    code, out, err = run_cli(["ftrl", "--n", "8", "--d", "2", "--radius", "1e308", "--kappa", "1e10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "kappa=10000000000.0, radius=1e+308" in err
+
+
 def test_ftrl_single_seed_deterministic(capsys):
     args = ["ftrl", "--n", "64", "--d", "3", "--seed", "5", "--seeds-count", "2"]
     _, first, _ = run_cli(args, capsys)
@@ -294,7 +309,7 @@ def test_floats_round_trip_17_digits(capsys):
     _, out, _ = run_cli(["coeffs", "--n", "40"], capsys)
     from contcount.factorization import sqrt_coefficients
 
-    coeffs = sqrt_coefficients(40).coeffs
+    coeffs = sqrt_coefficients(40)
     for line in out.splitlines()[1:]:
         k, value = line.split(",")
         assert float(value) == coeffs[int(k)]
@@ -460,7 +475,7 @@ def test_writer_formats_every_float_like_format(capsys):
 
 @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2048, 2049, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
 def test_coeffs_output_matches_row_formatter(capsys, n):
-    coeffs = sqrt_coefficients(n).coeffs
+    coeffs = sqrt_coefficients(n)
     want = "index,value\n" + "".join(f"{k},{format(float(v), '.17g')}\n" for k, v in enumerate(coeffs))
     code, out, _ = run_cli(["coeffs", "--n", str(n)], capsys)
     assert code == 0

@@ -30,17 +30,17 @@ C2 = BUDGET.noise_multiplier**2
 
 
 def test_sqrt_coefficients_examples():
-    assert sqrt_coefficients(5).coeffs == pytest.approx(
+    assert sqrt_coefficients(5) == pytest.approx(
         [1.0, 0.5, 0.375, 0.3125, 0.2734375]
     )
-    assert sqrt_coefficients(2).coeffs[1] == 0.5
-    f200 = sqrt_coefficients(201).coeffs[200]
+    assert sqrt_coefficients(2)[1] == 0.5
+    f200 = sqrt_coefficients(201)[200]
     exact = double_factorial_ratio(200)
     assert abs(f200 - float(exact)) / float(exact) <= 1e-14
 
 
 def test_sqrt_coefficients_satisfy_recurrence_exactly():
-    coeffs = sqrt_coefficients(300).coeffs
+    coeffs = sqrt_coefficients(300)
     rebuilt = 1.0
     for k in range(1, 300):
         rebuilt = (1.0 - 1.0 / (2.0 * k)) * rebuilt
@@ -48,7 +48,7 @@ def test_sqrt_coefficients_satisfy_recurrence_exactly():
 
 
 def test_sqrt_coefficients_strictly_decreasing_in_unit_interval():
-    coeffs = sqrt_coefficients(500).coeffs
+    coeffs = sqrt_coefficients(500)
     assert np.all(np.diff(coeffs) < 0)
     assert np.all(coeffs > 0) and np.all(coeffs <= 1)
 
@@ -70,18 +70,17 @@ def test_double_factorial_sandwich_small():
 
 
 def test_factor_row_norm_examples():
-    factor = sqrt_coefficients(8)
-    assert factor_row_norm_sq(factor, 1) == 1.0
-    assert factor_row_norm_sq(factor, 2) == 1.25
-    assert factor_row_norm_sq(factor, 3) == 1.390625
+    coeffs = sqrt_coefficients(8)
+    assert factor_row_norm_sq(coeffs, 1) == 1.0
+    assert factor_row_norm_sq(coeffs, 2) == 1.25
+    assert factor_row_norm_sq(coeffs, 3) == 1.390625
     with pytest.raises(ValueError):
-        factor_row_norm_sq(factor, 9)
+        factor_row_norm_sq(coeffs, 9)
 
 
 def test_factor_row_norm_cap():
     # valid per-row cap: 1 + ln(4t - 3)/pi, with equality at t = 1
-    factor = sqrt_coefficients(4096)
-    rows = factor.row_norms_sq()
+    rows = np.cumsum(sqrt_coefficients(4096) ** 2)
     t = np.arange(1, 4097)
     assert np.all(rows <= 1.0 + np.log(4.0 * t - 3.0) / math.pi)
     assert rows[0] == 1.0
@@ -95,9 +94,9 @@ def test_factor_frobenius_examples():
 
 
 def test_factor_frobenius_matches_row_sum():
-    factor = sqrt_coefficients(257)
-    assert factor_frobenius_sq(factor) == pytest.approx(
-        sum(factor_row_norm_sq(factor, t) for t in range(1, 258)), rel=1e-12
+    coeffs = sqrt_coefficients(257)
+    assert factor_frobenius_sq(coeffs) == pytest.approx(
+        sum(factor_row_norm_sq(coeffs, t) for t in range(1, 258)), rel=1e-12
     )
 
 

@@ -92,6 +92,43 @@ def test_non_finite_kappa_and_radius_are_refused():
         lambda_star(5, 1e-300, 3, BUDGET, 1e300)
 
 
+@pytest.mark.filterwarnings("error")
+def test_clip_and_project_past_the_float64_square():
+    # v . v overflows float64 from |v| ~ 1.3e154 on
+    big = np.full(3, 1e200)
+    assert np.array_equal(project_ball(big, 1e300), big)
+    assert clip(big, 1.0) == pytest.approx(np.full(3, 1.0 / math.sqrt(3.0)), rel=1e-15)
+    # a norm past float64's range, rescaled onto a ball just inside it
+    huge = np.array([1.5e308, -1.5e308, 0.0])
+    want = np.array([1e308, -1e308, 0.0]) / math.sqrt(2.0)
+    assert project_ball(huge, 1e308) == pytest.approx(want, rel=1e-15)
+    assert clip(huge, 1e308) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_iterate_and_bound_are_refused():
+    task = logistic_task(8, 2, seed=0)
+    with pytest.raises(ValueError, match=r"iterate .* overflow float64 at kappa=10000000000\.0, radius=1e\+308"):
+        DpFtrlLearner(8, 2, BUDGET, seed=0, kappa=1e10, radius=1e308)
+    with pytest.raises(ValueError, match=r"iterate .* overflow float64 at kappa=10000000000\.0, radius=1e\+308"):
+        run_dp_ftrl_logistic(task, BUDGET, 0, kappa=1e10, radius=1e308)
+    with pytest.raises(ValueError, match=r"regret bound overflows float64 at kappa=10000000000\.0, radius=1e\+308"):
+        regret_bound(8, 1e10, 2, BUDGET, 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_iterates_past_the_float64_square_stay_in_ball():
+    # the iterates reach |theta| ~ 1e300, whose squares overflow float64
+    task = logistic_task(8, 2, seed=0)
+    learner = DpFtrlLearner(8, 2, BUDGET, seed=1, radius=1e300)
+    for i in range(task.n):
+        theta = learner.step_gradient(task.point_grad(learner.theta, i))
+        assert np.all(np.isfinite(theta))
+        assert np.linalg.norm(theta / 1e300) <= 1 + 1e-12
+    report = run_dp_ftrl_logistic(task, BUDGET, 1, radius=1e300)
+    assert math.isfinite(report.regret) and math.isfinite(report.bound)
+
+
 def test_regret_bound_examples():
     assert regret_bound(5, 1.0, 3, NOISE_OFF, 1.0) == pytest.approx(
         0.379640777618172, rel=1e-12
@@ -161,7 +198,7 @@ def test_noise_calibration_exact_sensitivity(n):
     # Gaussian-mechanism sensitivity is max_{c, j} ||(D_c L)^-1 M e_j||.
     d, seed, kappa = 2, 5, 0.5
     learner = DpFtrlLearner(n, d, BUDGET, seed=seed, kappa=kappa)
-    coeffs = sqrt_coefficients(n).coeffs
+    coeffs = sqrt_coefficients(n)
     base = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, d))
     sensitivity = 0.0
     for c in range(d):
@@ -266,7 +303,7 @@ def _reference_regret(task, budget, seed):
 
 def _reference_noise(n, d, budget, seed):
     """The learner's noise, column by column from one (n, d) draw."""
-    coeffs = sqrt_coefficients(n).coeffs
+    coeffs = sqrt_coefficients(n)
     g = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, d))
     for j in range(d):
         g[:, j] = toeplitz_lower_matvec(coeffs, g[:, j])

@@ -118,10 +118,10 @@ def test_streaming_matches_dense_path():
     x = (np.arange(n) % 3 == 0).astype(int)
     outputs = np.array([counter.step(int(v)) for v in x])
 
-    factor = sqrt_coefficients(n)
-    scale = BUDGET.noise_multiplier * math.sqrt(np.sum(factor.coeffs**2))
+    coeffs = sqrt_coefficients(n)
+    scale = BUDGET.noise_multiplier * math.sqrt(np.sum(coeffs**2))
     g = _generator(seed).standard_normal(n) * scale
-    dense = counting_matrix(n) @ x + lower_toeplitz(factor.coeffs) @ g
+    dense = counting_matrix(n) @ x + lower_toeplitz(coeffs) @ g
     assert np.max(np.abs(outputs - dense)) <= 1e-9
 
 
@@ -132,9 +132,9 @@ def test_streaming_noise_variance():
     for i in range(reps):
         samples[i] = StreamingCounter(n, BUDGET, seed=50_000 + i).noise
     got = samples.var(axis=0)
-    factor = sqrt_coefficients(n)
-    col_sq = float(np.sum(factor.coeffs**2))
-    want = C2 * col_sq * factor.row_norms_sq()
+    coeffs = sqrt_coefficients(n)
+    col_sq = float(np.sum(coeffs**2))
+    want = C2 * col_sq * np.cumsum(coeffs**2)
     assert np.all(np.abs(got - want) <= 0.05 * want)
 
 
@@ -314,11 +314,30 @@ def test_release_rejects_unknown_kind():
         release("laplace", [0, 1], BUDGET, seed=0)
 
 
+def test_mechanism_kinds_are_the_dispatch_table():
+    assert MECHANISM_KINDS == ("factorization", "binary", "honaker")
+    assert MECHANISM_KINDS == tuple(mechanism._MECHANISMS)
+
+
+@pytest.mark.parametrize("kind", ["laplace", "Binary", "", None, ["binary"]])
+def test_unknown_kind_gets_one_error_from_release_and_monte_carlo(kind):
+    want = f"kind must be one of {MECHANISM_KINDS}, got {kind!r}"
+    with pytest.raises(ValueError) as from_release:
+        release(kind, [0, 1], BUDGET, seed=0)
+    with pytest.raises(ValueError) as from_monte_carlo:
+        monte_carlo_mse(kind, 2, 3, BUDGET, seed=0)
+    assert str(from_release.value) == str(from_monte_carlo.value) == want
+
+
+def test_release_takes_no_factorization():
+    # the dense mechanism is matrix_mechanism_run alone
+    with pytest.raises(TypeError):
+        release("honaker", [0, 1, 1, 0], BUDGET, 0, honaker_left(4))
+
+
 @pytest.mark.parametrize("kind", ["factorization", "binary"])
 def test_release_refuses_fact_it_would_ignore(kind):
     fact = honaker_left(4)
-    with pytest.raises(ValueError, match="factorization"):
-        release(kind, [0, 1, 1, 0], BUDGET, seed=0, fact=fact)
     with pytest.raises(ValueError, match="factorization"):
         monte_carlo_mse(kind, 4, 2, BUDGET, seed=0, fact=fact)
 
@@ -334,7 +353,6 @@ def _honaker_gap(n):
     worst = 0.0
     for seed in (0, 1, 2**40 + 7):
         dense = matrix_mechanism_run(fact, zeros, BUDGET, seed)
-        assert np.array_equal(release("honaker", zeros, BUDGET, seed, fact=fact), dense)
         structured = release("honaker", zeros, BUDGET, seed)
         worst = max(worst, float(np.max(np.abs(structured - dense) / std)))
     return worst
@@ -402,7 +420,7 @@ def test_monte_carlo_honaker_structured_matches_closed_form(n, seed):
 # ``_binary_mechanism_loop``.)
 def _sqrt_release_1d(x, budget, seed):
     n = x.shape[0]
-    coeffs = sqrt_coefficients(n).coeffs
+    coeffs = sqrt_coefficients(n)
     g = _generator(seed).standard_normal((n, 1))
     g[:, 0] = toeplitz_lower_matvec(coeffs, g[:, 0])
     g *= budget.noise_multiplier * math.sqrt(float(np.sum(coeffs**2)))
@@ -460,14 +478,18 @@ def test_release_bytes_match_one_trial_references(n):
     if n <= DENSE_LIMIT:
         fact = honaker_left(n)
         want = _matrix_release_1d(fact, x, BUDGET, seed)
-        assert release("honaker", x, BUDGET, seed, fact=fact).tobytes() == want.tobytes()
         assert matrix_mechanism_run(fact, x, BUDGET, seed).tobytes() == want.tobytes()
 
 
 def _monte_carlo_reference(kind, n, trials, budget, seed, fact=None):
-    """Per-trial squared errors, one ``release`` per trial seed seed + i."""
+    """Per-trial squared errors, one ``release`` per trial seed seed + i, or
+    one ``matrix_mechanism_run`` with ``fact``."""
     zeros = np.zeros(n, dtype=np.int64)
-    return np.array([np.mean(release(kind, zeros, budget, seed + i, fact) ** 2) for i in range(trials)])
+    if fact is None:
+        runs = (release(kind, zeros, budget, seed + i) for i in range(trials))
+    else:
+        runs = (matrix_mechanism_run(fact, zeros, budget, seed + i) for i in range(trials))
+    return np.array([np.mean(out**2) for out in runs])
 
 
 def _estimate(per_trial):
@@ -491,7 +513,7 @@ def test_monte_carlo_blocks_match_per_trial_loop(monkeypatch, kind, n):
     fact = None
     if kind == "honaker-dense":
         kind, fact = "honaker", honaker_left(n)
-    width = mechanism._draw_width(kind, n, fact)
+    width = mechanism._MECHANISMS[kind][0](n) if fact is None else fact.right.shape[0]
     if n < 1024:
         # at the module cap a block holds 257 to 2^18 of these narrower trials;
         # a cap of 100 rows puts the block edges within reach of the reference loop
