@@ -29,9 +29,9 @@ import sys
 
 import numpy as np
 
-from . import certificates, workload
+from . import certificates, mechanism, workload
 from .factorization import sqrt_coefficients
-from .ftrl import logistic_task, run_dp_ftrl_logistic
+from .ftrl import logistic_task, run_dp_ftrl_logistic_seeds
 from .linalg import format_csv_rows, read_matrix_csv
 from .mechanism import MECHANISM_KINDS, PrivacyBudget, release
 
@@ -205,13 +205,22 @@ def cmd_ftrl(args) -> int:
     budget = _budget(args.eps, args.delta)
     # object dtype: seeds at or beyond 2**63 stay exact Python ints, not floats
     seeds = np.array([args.seed + i for i in range(args.seeds_count)], dtype=object)
-    regret, bound = np.empty(len(seeds)), np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        task = logistic_task(args.n, args.d, seed)
-        report = run_dp_ftrl_logistic(
-            task, budget, seed + _NOISE_SEED_OFFSET, kappa=args.kappa, radius=args.radius
+    # seeds run in lockstep, in groups whose stacked streams and noise hold
+    # at most _BLOCK_VALUES values each, as a Monte-Carlo block does; each
+    # task is generated as the group's arrays take it in
+    group = max(1, mechanism._BLOCK_VALUES // (args.n * args.d))
+    reports = []
+    for start in range(0, len(seeds), group):
+        chunk = seeds[start : start + group]
+        reports += run_dp_ftrl_logistic_seeds(
+            (logistic_task(args.n, args.d, seed) for seed in chunk),
+            budget,
+            [seed + _NOISE_SEED_OFFSET for seed in chunk],
+            kappa=args.kappa,
+            radius=args.radius,
         )
-        regret[i], bound[i] = report.regret, report.bound
+    regret = np.array([report.regret for report in reports])
+    bound = np.array([report.bound for report in reports])
     _emit_columns("seed,regret,bound", "%d,%.17g,%.17g\n", [seeds, regret, bound], args.out)
     return 0
 

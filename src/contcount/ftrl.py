@@ -12,11 +12,18 @@ and take the regularized argmin (a rescaling) projected onto the ball.
 
 Gradient clipping rescales to norm kappa whenever the gradient is longer
 than kappa, so clipped gradients always lie in the radius-kappa ball.
+
+``run_dp_ftrl_logistic_seeds`` runs several seeds in lockstep: one round
+loop over a leading seed axis, whose per-round numpy calls serve every
+seed at once.  Each seed's report is byte for byte that of its own
+``run_dp_ftrl_logistic``, and of a loop of ``DpFtrlLearner.step_gradient``
+calls, because every operation acts on each seed's row alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +43,7 @@ __all__ = [
     "logistic_task",
     "minimize_logistic_in_ball",
     "run_dp_ftrl_logistic",
+    "run_dp_ftrl_logistic_seeds",
 ]
 
 
@@ -60,6 +68,24 @@ def _shrink(v: np.ndarray, r: float) -> np.ndarray:
     w = np.ldexp(v, -e)  # max |w| is in [1/2, 1), so w . w does not overflow
     norm = math.sqrt(float(np.vdot(w, w)))
     return v if norm <= math.ldexp(r, -e) else (w / norm) * r
+
+
+def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
+    """``_shrink`` on each row of the (k, d) block v, byte for byte.
+
+    ``np.vecdot`` makes one ddot per row, the dot product ``np.vdot``
+    makes, and ``r / norm`` is at least 1 exactly when the norm is at most
+    r, so the scale is then 1.  A row whose square overflows goes through
+    ``_shrink``.  Call it under ``np.errstate(over="ignore",
+    divide="ignore")``: a square may overflow, and a zero norm gives
+    r / 0 = inf.
+    """
+    sq = np.vecdot(v, v)
+    out = v * np.minimum(r / np.sqrt(sq), 1.0)[:, None]
+    if math.inf in sq.tolist():
+        for i in np.flatnonzero(sq == math.inf):
+            out[i] = _shrink(v[i], r)
+    return out
 
 
 def clip(g, kappa: float) -> np.ndarray:
@@ -112,6 +138,7 @@ def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: fl
 
     A bound that overflows float64 is refused.
     """
+    _check_kappa_radius(kappa, radius)
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
     bound = radius * math.sqrt(_upper_log_factor(n) * width / (2.0 * n))
@@ -143,8 +170,7 @@ class DpFtrlLearner:
         self.kappa = float(kappa)
         self.radius = float(radius)
         self.lam = float(lam) if lam is not None else lambda_star(n, kappa, d, budget, radius)
-        if not self.lam > 0:
-            raise ValueError("regularization strength must be positive")
+        _check_positive_finite("lam", self.lam)
         self.seed = int(seed)
         self.t = 0
         self.grad_prefix = np.zeros(d)
@@ -290,12 +316,61 @@ def run_dp_ftrl_logistic(
 ) -> RegretReport:
     """Run DP-FTRL over a logistic stream and report regret against the
     post-hoc in-ball optimum."""
-    learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
-    incurred = 0.0
-    for i in range(task.n):
-        loss, grad = task.point_loss_grad(learner.theta, i)
-        incurred += loss
-        learner.step_gradient(grad)
-    theta_opt = minimize_logistic_in_ball(task, radius)
-    bound = regret_bound(task.n, kappa, task.d, budget, radius)
-    return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
+    return run_dp_ftrl_logistic_seeds([task], budget, [seed], kappa, radius)[0]
+
+
+def _stack_seeds(tasks, budget, seeds, kappa, radius):
+    """Round-major xs (n, k, d), ys (n, k) and noise (n, k, d), and lambda
+    (k, 1), of the k tasks and of each seed's ``DpFtrlLearner``.  Each task
+    and learner is copied in as it comes and then dropped, so neither is
+    held twice."""
+    k = len(seeds)
+    if k == 0:
+        raise ValueError("need at least one seed")
+    for j, (task, seed) in enumerate(zip(tasks, seeds, strict=True)):
+        if j == 0:
+            n, d = task.n, task.d
+            xs, noise = np.empty((n, k, d)), np.empty((n, k, d))
+            ys, lam = np.empty((n, k)), np.empty((k, 1))
+        if task.xs.shape != (n, d):
+            raise ValueError(f"task {j} has shape {task.xs.shape}, task 0 has {(n, d)}")
+        learner = DpFtrlLearner(n, d, budget, seed, kappa=kappa, radius=radius)
+        xs[:, j], ys[:, j], noise[:, j], lam[j] = task.xs, task.ys, learner.noise, learner.lam
+    return xs, ys, noise, lam
+
+
+def run_dp_ftrl_logistic_seeds(
+    tasks: Iterable[LogisticTask],
+    budget: PrivacyBudget,
+    seeds: Sequence[int],
+    kappa: float = 1.0,
+    radius: float = 1.0,
+) -> list[RegretReport]:
+    """``run_dp_ftrl_logistic`` on each task with its noise seed, byte for
+    byte, in one round loop over a leading seed axis.
+
+    ``tasks`` yields one task per seed, all of one shape (n, d); a generator
+    of tasks is never held whole.  Each round makes the operations of one
+    ``LogisticTask.point_loss_grad`` and one ``DpFtrlLearner.step_gradient``
+    per seed, elementwise on (k, d) blocks, with ``_shrink_rows`` for the
+    clip and the projection.
+    """
+    xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius)
+    n, k, d = xs.shape
+    incurred = np.zeros(k)
+    grad_prefix = np.zeros((k, d))
+    theta = np.zeros((k, d))
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
+        for x, y, z in zip(xs, ys, noise):
+            margin = y * np.vecdot(x, theta)
+            incurred += np.logaddexp(0.0, -margin)
+            grad_prefix += _shrink_rows(-(y * _sigmoid(-margin))[:, None] * x, kappa)
+            theta = _shrink_rows(-(grad_prefix + z) / lam, radius)
+
+    reports = []
+    for j, loss in enumerate(incurred):
+        task = LogisticTask(xs=np.ascontiguousarray(xs[:, j]), ys=ys[:, j])
+        theta_opt = minimize_logistic_in_ball(task, radius)
+        bound = regret_bound(n, kappa, d, budget, radius)
+        reports.append(regret_report(float(loss) / n, task.avg_loss(theta_opt), bound))
+    return reports

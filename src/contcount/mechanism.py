@@ -22,11 +22,12 @@ row ``release`` would draw from ``seed + i``, so serial and parallel runs
 aggregate identically.  The trials are mapped in blocks of at most
 ``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
 loop of one ``release`` per trial: each row goes through the same 1-D
-operations.  So square-root rows are convolved one at a time (a 2-D FFT
-over the block rounds differently from the 1-D one), dense blocks use a
-stacked ``matmul``, one matrix-vector product per row (a matrix-matrix
-product rounds differently), and every sum runs along a row (numpy sums a
-row pairwise, but sums down a column one element at a time).
+operations.  So a square-root block is one ``toeplitz_lower_matvec``
+call, which computes one coefficient spectrum per block but gives each row
+its own 1-D FFT (a 2-D FFT over the block rounds differently), dense
+blocks use a stacked ``matmul``, one matrix-vector product per row (a
+matrix-matrix product rounds differently), and every sum runs along a row
+(numpy sums a row pairwise, but sums down a column one element at a time).
 """
 
 from __future__ import annotations
@@ -127,9 +128,7 @@ def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
     normals ``g`` becomes L g_row, then all are scaled by
     ``multiplier * ||R||_{1->2}``.  Returns ``g``."""
     coeffs = sqrt_coefficients(g.shape[-1])
-    # one row at a time: a 2-D FFT over rows would not match the 1-D one bit for bit
-    for row in g:
-        row[...] = toeplitz_lower_matvec(coeffs, row)
+    toeplitz_lower_matvec(coeffs, g, out=g)
     g *= multiplier * math.sqrt(float(np.sum(coeffs**2)))
     return g
 

@@ -17,8 +17,8 @@ from contcount import certificates, cli, factorization, workload
 from contcount.cli import main
 from contcount.factorization import sqrt_coefficients, suboptimality_ratio
 from contcount.ftrl import clip, logistic_task, project_ball, run_dp_ftrl_logistic
-from contcount.linalg import format_csv_rows, write_matrix_csv
-from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, release
+from contcount.linalg import TOEPLITZ_DIRECT_MAX, format_csv_rows, write_matrix_csv
+from contcount.mechanism import MECHANISM_KINDS, PrivacyBudget, StreamingCounter, release
 from contcount.workload import counting_matrix
 
 
@@ -461,6 +461,18 @@ def test_count_output_matches_row_formatter(tmp_path, capsys, kind, n):
     code, out, _ = run_cli(args + ["--out", str(tmp_path / "out.csv")], capsys)
     assert code == 0 and out == ""
     assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("n", [TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097])
+def test_count_factorization_equals_step_loop_at_fft_edges(tmp_path, capsys, n):
+    bits = np.random.default_rng(n).integers(0, 2, size=n)
+    path = tmp_path / "bits.txt"
+    path.write_text("".join(f"{b}\n" for b in bits))
+    counter = StreamingCounter(n, PrivacyBudget(1.0, 1e-10), 4)
+    stepped = np.array([counter.step(int(b)) for b in bits])
+    code, out, _ = run_cli(["count", "--input", str(path), "--seed", "4"], capsys)
+    assert code == 0
+    assert out == _reference_count_csv(bits, stepped)
 
 
 def test_writer_formats_every_float_like_format(capsys):

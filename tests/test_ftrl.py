@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contcount import cli, mechanism
+from contcount.cli import main
 from contcount.ftrl import (
     DpFtrlLearner,
     LogisticTask,
+    _shrink,
+    _shrink_rows,
     _sigmoid,
     clip,
     lambda_star,
@@ -16,6 +20,7 @@ from contcount.ftrl import (
     regret_bound,
     regret_report,
     run_dp_ftrl_logistic,
+    run_dp_ftrl_logistic_seeds,
 )
 from contcount.factorization import sqrt_coefficients
 from contcount.linalg import lower_toeplitz, toeplitz_lower_matvec
@@ -319,3 +324,164 @@ def test_run_matches_two_margin_loop(n, d):
         assert run_dp_ftrl_logistic(task, BUDGET, noise_seed) == _reference_regret(task, BUDGET, noise_seed)
         noise = DpFtrlLearner(n, d, BUDGET, seed).noise
         assert noise.tobytes() == _reference_noise(n, d, BUDGET, seed).tobytes()
+
+
+def _per_seed_run(task, budget, seed, kappa=1.0, radius=1.0):
+    """``run_dp_ftrl_logistic`` as it ran before seeds ran in lockstep: one
+    ``point_loss_grad`` and one ``DpFtrlLearner.step_gradient`` per round."""
+    learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
+    incurred = 0.0
+    for i in range(task.n):
+        loss, grad = task.point_loss_grad(learner.theta, i)
+        incurred += loss
+        learner.step_gradient(grad)
+    theta_opt = minimize_logistic_in_ball(task, radius)
+    bound = regret_bound(task.n, kappa, task.d, budget, radius)
+    return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n, d, kappa, radius",
+    # 513 and 600 draw their noise by FFT; iterates near 1e300 overflow v . v
+    [(1, 1, 1.0, 1.0), (40, 3, 0.3, 0.5), (513, 2, 1.0, 1.0), (600, 2, 1.0, 1e300), (64, 4, 2.0, 1e300)],
+)
+def test_seeds_in_lockstep_equal_per_seed_runs(n, d, kappa, radius):
+    seeds = [7, 2**40 + 1, 2**70]
+    tasks = [logistic_task(n, d, seed) for seed in seeds]
+    want = [_per_seed_run(task, BUDGET, seed, kappa, radius) for task, seed in zip(tasks, seeds)]
+    assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, seeds, kappa, radius) == want
+    assert run_dp_ftrl_logistic_seeds(iter(tasks), BUDGET, seeds, kappa, radius) == want
+    assert [run_dp_ftrl_logistic(t, BUDGET, s, kappa, radius) for t, s in zip(tasks, seeds)] == want
+
+
+def test_lockstep_noise_off_and_zero_gradients():
+    # zero norms give r / 0 = inf in the scale, which must stay a scale of 1
+    task = LogisticTask(xs=np.zeros((5, 2)), ys=np.ones(5))
+    want = _per_seed_run(task, NOISE_OFF, 0)
+    assert run_dp_ftrl_logistic_seeds([task, task], NOISE_OFF, [0, 1]) == [want, want]
+
+
+def test_lockstep_refusals():
+    tasks = [logistic_task(8, 2, 0), logistic_task(8, 3, 1)]
+    with pytest.raises(ValueError, match="task 1 has shape"):
+        run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0, 1])
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_dp_ftrl_logistic_seeds([], BUDGET, [])
+    with pytest.raises(ValueError):
+        run_dp_ftrl_logistic_seeds(tasks[:1], BUDGET, [0, 1])
+    with pytest.raises(ValueError):
+        run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0])
+
+
+def test_shrink_rows_equals_shrink():
+    rng = np.random.default_rng(21)
+    rows = [np.zeros(3), np.full(3, 1e200), np.array([1.5e308, -1.5e308, 0.0])]
+    rows += list(rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-5, 5, size=(40, 1)))
+    v = np.array(rows)
+    for r in (1e-3, 1.0, 10.0, 1e300, 1e308):
+        with np.errstate(over="ignore", divide="ignore"):
+            got = _shrink_rows(v, r)
+        assert got.tobytes() == np.array([_shrink(row, r) for row in v]).tobytes()
+
+
+def test_vectors_on_the_sphere_are_kept_past_the_float64_square():
+    # v . v overflows, so the norm is taken of v / 2^e; a vector whose
+    # scaled norm is exactly r / 2^e lies in the ball and is returned as is,
+    # where rescaling it, (w / norm) * r, would move its last bits
+    rng = np.random.default_rng(8)
+    moved = 0
+    for _ in range(50):
+        v = rng.normal(size=3) * 2.0**700
+        e = math.frexp(float(np.max(np.abs(v))))[1]
+        w = np.ldexp(v, -e)
+        norm = math.sqrt(float(np.vdot(w, w)))
+        r = math.ldexp(norm, e)
+        moved += not np.array_equal((w / norm) * r, v)
+        assert project_ball(v, r).tobytes() == v.tobytes()
+        with np.errstate(over="ignore", divide="ignore"):
+            assert _shrink_rows(v[None, :], r)[0].tobytes() == v.tobytes()
+    assert moved > 0
+
+
+def test_regret_bound_refuses_bad_kappa_and_radius():
+    for kappa, radius in ((1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            regret_bound(5, kappa, 3, BUDGET, radius)
+    for kappa in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            regret_bound(5, kappa, 3, BUDGET, 1.0)
+
+
+def test_learner_refuses_non_finite_lam():
+    for lam in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            DpFtrlLearner(4, 2, BUDGET, 0, lam=lam)
+    assert DpFtrlLearner(4, 2, BUDGET, 0, lam=2.5).lam == 2.5
+
+
+def _per_seed_ftrl_csv(n, d, seed, count, kappa=1.0, radius=1.0):
+    """``contcount ftrl`` output from one ``_per_seed_run`` per seed."""
+    budget = PrivacyBudget(1.0, 1e-6)
+    lines = ["seed,regret,bound"]
+    for s in range(seed, seed + count):
+        report = _per_seed_run(logistic_task(n, d, s), budget, s + 2**32, kappa, radius)
+        lines.append(f"{s},{report.regret:.17g},{report.bound:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n, d, count, flags",
+    [
+        (24, 3, 1, []),
+        (24, 3, 2, []),
+        (24, 3, 5, ["--kappa", "0.3", "--radius", "0.5"]),
+        (24, 3, 20, []),
+        (520, 2, 2, []),
+        (24, 3, 5, ["--radius", "1e300"]),
+    ],
+)
+def test_ftrl_cli_equals_per_seed_loop(capsys, n, d, count, flags):
+    args = ["ftrl", "--n", str(n), "--d", str(d), "--seed", "3", "--seeds-count", str(count), *flags]
+    assert main(args) == 0
+    kappa = float(flags[flags.index("--kappa") + 1]) if "--kappa" in flags else 1.0
+    radius = float(flags[flags.index("--radius") + 1]) if "--radius" in flags else 1.0
+    assert capsys.readouterr().out == _per_seed_ftrl_csv(n, d, 3, count, kappa, radius)
+
+
+@pytest.mark.parametrize("count", [3, 4, 7])
+def test_ftrl_cli_seed_groups(capsys, monkeypatch, count):
+    # a cap of three seeds per group: four and seven seeds cross group edges
+    monkeypatch.setattr(mechanism, "_BLOCK_VALUES", 3 * 16 * 2 + 5)
+    groups = []
+    lockstep = cli.run_dp_ftrl_logistic_seeds
+
+    def recording(tasks, budget, seeds, **kwargs):
+        groups.append(len(seeds))
+        return lockstep(tasks, budget, seeds, **kwargs)
+
+    monkeypatch.setattr(cli, "run_dp_ftrl_logistic_seeds", recording)
+    assert main(["ftrl", "--n", "16", "--d", "2", "--seed", "9", "--seeds-count", str(count)]) == 0
+    assert groups == [3] * (count // 3) + ([count % 3] if count % 3 else [])
+    assert capsys.readouterr().out == _per_seed_ftrl_csv(16, 2, 9, count)
+
+
+def _linalg_norm_shrink(v, r):
+    """``clip`` and ``project_ball`` with the norm of ``np.linalg.norm``."""
+    v = np.asarray(v, dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    return v.copy() if norm <= r else v * (r / norm)
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, count, kappa, radius",
+    [(200, 3, 0, 2, 1.0, 1.0), (150, 6, 7, 1, 0.3, 0.5)],
+)
+def test_ftrl_cli_equals_per_seed_loop_with_linalg_norm(capsys, monkeypatch, n, d, seed, count, kappa, radius):
+    args = ["ftrl", "--n", str(n), "--d", str(d), "--seed", str(seed), "--seeds-count", str(count)]
+    assert main(args + ["--kappa", str(kappa), "--radius", str(radius)]) == 0
+    got = capsys.readouterr().out
+    # the lockstep loop calls neither; the per-seed loop's learner calls both
+    monkeypatch.setattr("contcount.ftrl.clip", _linalg_norm_shrink)
+    monkeypatch.setattr("contcount.ftrl.project_ball", _linalg_norm_shrink)
+    assert got == _per_seed_ftrl_csv(n, d, seed, count, kappa, radius)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from contcount.linalg import (
     CSV_CHUNK_CELLS,
+    TOEPLITZ_DIRECT_MAX,
     as_matrix,
     col_norm_1to2,
     frobenius_norm,
@@ -172,14 +173,54 @@ def test_toeplitz_matvec_matches_dense_1024():
 
 def test_toeplitz_fft_path_matches_direct():
     rng = np.random.default_rng(4)
-    # above the direct-convolution threshold; the FFT lengths are
-    # 5 * 2^11, 3 * 2^12 and 2^14
-    for n in (5000, 6000, 8192):
+    # above the direct-convolution threshold; the FFT lengths of the last
+    # three are 5 * 2^11, 3 * 2^12 and 2^14
+    for n in (TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 5000, 6000, 8192):
         c = rng.normal(size=n) / np.arange(1, n + 1)
         x = rng.normal(size=n)
         fast = toeplitz_lower_matvec(c, x)
         direct = np.convolve(c, x)[:n]
         assert np.max(np.abs(fast - direct)) <= 1e-9
+
+
+def _one_row_toeplitz(c, x):
+    """The one-row product as it was computed before blocks: direct up to
+    the threshold, else the coefficient spectrum times the row's."""
+    n = len(c)
+    if n <= TOEPLITZ_DIRECT_MAX:
+        return np.convolve(c, x)[:n]
+    p = 1 << (2 * n - 2).bit_length()
+    size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
+    spectrum = np.fft.rfft(c, size)
+    spectrum *= np.fft.rfft(x, size)
+    return np.fft.irfft(spectrum, size)[:n]
+
+
+TOEPLITZ_EDGES = [TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097]
+
+
+@pytest.mark.parametrize("n", TOEPLITZ_EDGES)
+def test_toeplitz_block_rows_equal_one_row_products(n):
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=n) / np.arange(1, n + 1)
+    # rows of a transposed array are strided, as the DP-FTRL noise columns are
+    block = rng.normal(size=(n, 4)).T
+    want = np.array([_one_row_toeplitz(c, row) for row in block])
+    assert toeplitz_lower_matvec(c, block).tobytes() == want.tobytes()
+    for row, expected in zip(block, want):
+        assert toeplitz_lower_matvec(c, row).tobytes() == expected.tobytes()
+        assert toeplitz_lower_matvec(c, row[None, :]).tobytes() == expected.tobytes()
+    toeplitz_lower_matvec(c, block, out=block)
+    assert block.tobytes() == want.tobytes()
+
+
+def test_toeplitz_matvec_shapes():
+    c = np.array([1.0, 0.5])
+    assert toeplitz_lower_matvec(c, np.ones((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        toeplitz_lower_matvec(c, np.ones((1, 1, 2)))
+    with pytest.raises(ValueError, match="mismatch"):
+        toeplitz_lower_matvec(c, np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33])

@@ -11,7 +11,7 @@ from contcount.factorization import (
     sqrt_coefficients,
     sqrt_factorization,
 )
-from contcount.linalg import lower_toeplitz, toeplitz_lower_matvec
+from contcount.linalg import TOEPLITZ_DIRECT_MAX, lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import (
     MECHANISM_KINDS,
     PrivacyBudget,
@@ -294,7 +294,9 @@ def test_monte_carlo_rejects_bad_kind():
 
 
 @pytest.mark.parametrize("seed", [0, 9])
-@pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097, 5000, 2**17])
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 4096, 4097, 5000, 2**17, TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024]
+)
 def test_release_factorization_equals_step_loop(n, seed):
     bits = np.random.default_rng(n).integers(0, 2, size=n)
     counter = StreamingCounter(n, BUDGET, seed)
@@ -524,6 +526,27 @@ def test_monte_carlo_blocks_match_per_trial_loop(monkeypatch, kind, n):
         per_trial = _monte_carlo_reference(kind, n, trials[-1], BUDGET, seed, fact)
         for t in trials:
             assert monte_carlo_mse(kind, n, t, BUDGET, seed, fact) == _estimate(per_trial[:t])
+
+
+# the direct-to-FFT switch, and both ends of the range it moved over
+FFT_EDGES = [TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097]
+
+
+@pytest.mark.parametrize("n", FFT_EDGES)
+def test_sqrt_noise_block_equals_rows(n):
+    block = mechanism._normals(2**40 + 3, 5, n)
+    rows = [mechanism._sqrt_noise(row[None, :].copy(), 1.5)[0] for row in block]
+    assert mechanism._sqrt_noise(block, 1.5).tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("n", FFT_EDGES)
+def test_monte_carlo_factorization_trials_equal_releases_at_fft_edges(monkeypatch, n):
+    # three trials per block, so four and seven trials cross block edges
+    monkeypatch.setattr(mechanism, "_BLOCK_VALUES", 3 * n + n // 2)
+    per_trial = _monte_carlo_reference("factorization", n, 7, BUDGET, 2**40 + 7)
+    for trials in (1, 3, 4, 7):
+        got = monte_carlo_mse("factorization", n, trials, BUDGET, 2**40 + 7)
+        assert got == _estimate(per_trial[:trials])
 
 
 def test_monte_carlo_blocks_stay_under_cap(monkeypatch):
