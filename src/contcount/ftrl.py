@@ -15,9 +15,12 @@ than kappa, so clipped gradients always lie in the radius-kappa ball.
 
 ``run_dp_ftrl_logistic_seeds`` runs several seeds in lockstep: one round
 loop over a leading seed axis, whose per-round numpy calls serve every
-seed at once.  Each seed's report is byte for byte that of its own
-``run_dp_ftrl_logistic``, and of a loop of ``DpFtrlLearner.step_gradient``
-calls, because every operation acts on each seed's row alone.
+seed at once, and then one loop of the post-hoc oracle for all seeds,
+from which each seed leaves at its own stopping iteration.  Each seed's
+report is byte for byte that of its own ``run_dp_ftrl_logistic``, and of
+a loop of ``DpFtrlLearner.step_gradient`` calls and one
+``minimize_logistic_in_ball``, because every operation acts on each
+seed's row alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import PrivacyBudget, _normals, _sqrt_noise
+from .mechanism import PrivacyBudget, _check_seed, _generator, _normals, _sqrt_noise
 from .workload import _upper_log_factor
 
 __all__ = [
@@ -171,13 +174,13 @@ class DpFtrlLearner:
         self.radius = float(radius)
         self.lam = float(lam) if lam is not None else lambda_star(n, kappa, d, budget, radius)
         _check_positive_finite("lam", self.lam)
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self.t = 0
         self.grad_prefix = np.zeros(d)
         self.theta = np.zeros(d)
 
         # standard_normal((n, d)) from PCG64(seed); column j is the noise of coordinate j
-        self.noise = _normals(seed, 1, n * d).reshape(n, d)
+        self.noise = _normals(self.seed, 1, n * d).reshape(n, d)
         _sqrt_noise(self.noise.T, budget.noise_multiplier * kappa)
         # every |s_t[i]| is at most n kappa + max |noise|; twice that covers
         # rounding, so below this check the iterate -s_t / lam never overflows
@@ -266,7 +269,7 @@ def logistic_task(n: int, d: int, seed: int, flip_prob: float = 0.25) -> Logisti
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if not 0 <= flip_prob < 0.5:
         raise ValueError(f"flip probability must be in [0, 0.5), got {flip_prob}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = _generator(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
     xs = rng.standard_normal((n, d))
@@ -284,26 +287,70 @@ def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
 
     Accelerated projected gradient descent, run until the projected-gradient
     norm ||theta - proj(theta - step * grad)|| / step drops below
-    ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations.
+    ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations
+    (``_minimize_logistic_in_balls`` on one task).
+    """
+    return _minimize_logistic_in_balls(task.xs[None], task.ys[None], radius)[0]
+
+
+def _avg_grads(xs: np.ndarray, neg_ys: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``LogisticTask.avg_grad`` of task j at each of the points[j], byte
+    for byte, for the (k, n, d) inputs xs and negated (k, n) labels neg_ys
+    of k tasks and (k, m, d) points.
+
+    The stacked ``matmul`` makes one matrix-vector product per task and
+    point, the products ``xs @ theta`` and ``weights @ xs`` make.  The
+    weights -y sigmoid(-y x.theta) are built in one buffer by the same
+    elementwise operations (a product's sign and operand order do not
+    change its bits): large temporaries cost more than the arithmetic.
+    """
+    z = np.matmul(xs[:, None], points[..., None])[..., 0]
+    z *= neg_ys[:, None]  # the negated margins
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5  # _sigmoid of the negated margins
+    z *= neg_ys[:, None]
+    return np.matmul(z[..., None, :], xs[:, None])[..., 0, :] / xs.shape[1]
+
+
+def _minimize_logistic_in_balls(xs: np.ndarray, ys: np.ndarray, radius: float) -> np.ndarray:
+    """``minimize_logistic_in_ball`` of each of k tasks, (k, n, d) inputs
+    xs and (k, n) labels ys, in lockstep: a (k, d) block of optima.
+
+    Each iteration takes the gradients at every task's momentum point and
+    iterate in one ``_avg_grads`` call and projects with ``_shrink_rows``;
+    a task leaves the block at the iteration its stopping rule holds, so
+    each optimum is byte for byte that of the task run alone.
     """
     _check_positive_finite("radius", radius)
     # Smoothness constant of the average logistic loss is at most
     # max eig of (1/4n) sum x x^T <= 1/4 for unit-ball inputs.
     step = 4.0
-    theta = np.zeros(task.d)
+    optima = np.empty((xs.shape[0], xs.shape[2]))
+    active = np.arange(xs.shape[0])  # the tasks still iterating, in block order
+    neg_ys = -ys
+    theta = np.zeros(optima.shape)
     momentum = theta.copy()
     t_acc = 1.0
-    for _ in range(_ORACLE_MAX_ITER):
-        grad = task.avg_grad(momentum)
-        nxt = project_ball(momentum - step * grad, radius)
-        grad_at_theta = task.avg_grad(theta)
-        mapped = (theta - project_ball(theta - step * grad_at_theta, radius)) / step
-        if np.linalg.norm(mapped) <= _ORACLE_TOL:
-            return theta
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        momentum = nxt + ((t_acc - 1.0) / t_next) * (nxt - theta)
-        theta = nxt
-        t_acc = t_next
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
+        for _ in range(_ORACLE_MAX_ITER):
+            grads = _avg_grads(xs, neg_ys, np.stack((momentum, theta), axis=1))
+            nxt = _shrink_rows(momentum - step * grads[:, 0], radius)
+            mapped = (theta - _shrink_rows(theta - step * grads[:, 1], radius)) / step
+            # the norm np.linalg.norm gives: sqrt of one dot product per row
+            done = np.sqrt(np.vecdot(mapped, mapped)) <= _ORACLE_TOL
+            if done.any():
+                optima[active[done]] = theta[done]
+                going = ~done
+                if not going.any():
+                    return optima
+                active, xs, neg_ys = active[going], xs[going], neg_ys[going]
+                theta, momentum, nxt = theta[going], momentum[going], nxt[going]
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+            momentum = nxt + ((t_acc - 1.0) / t_next) * (nxt - theta)
+            theta = nxt
+            t_acc = t_next
     raise RuntimeError(f"ball-constrained optimizer did not reach tolerance {_ORACLE_TOL}")
 
 
@@ -320,23 +367,43 @@ def run_dp_ftrl_logistic(
 
 
 def _stack_seeds(tasks, budget, seeds, kappa, radius):
-    """Round-major xs (n, k, d), ys (n, k) and noise (n, k, d), and lambda
-    (k, 1), of the k tasks and of each seed's ``DpFtrlLearner``.  Each task
-    and learner is copied in as it comes and then dropped, so neither is
-    held twice."""
+    """Seed-major xs (k, n, d) and ys (k, n), round-major noise (n, k, d),
+    and lambda (k, 1), of the k tasks and of each seed's ``DpFtrlLearner``.
+    Each task and learner is copied in as it comes and then dropped, so
+    neither is held twice."""
     k = len(seeds)
     if k == 0:
         raise ValueError("need at least one seed")
     for j, (task, seed) in enumerate(zip(tasks, seeds, strict=True)):
         if j == 0:
             n, d = task.n, task.d
-            xs, noise = np.empty((n, k, d)), np.empty((n, k, d))
-            ys, lam = np.empty((n, k)), np.empty((k, 1))
+            xs, noise = np.empty((k, n, d)), np.empty((n, k, d))
+            ys, lam = np.empty((k, n)), np.empty((k, 1))
         if task.xs.shape != (n, d):
             raise ValueError(f"task {j} has shape {task.xs.shape}, task 0 has {(n, d)}")
         learner = DpFtrlLearner(n, d, budget, seed, kappa=kappa, radius=radius)
-        xs[:, j], ys[:, j], noise[:, j], lam[j] = task.xs, task.ys, learner.noise, learner.lam
+        xs[j], ys[j], noise[:, j], lam[j] = task.xs, task.ys, learner.noise, learner.lam
     return xs, ys, noise, lam
+
+
+def _lockstep_rounds(tasks, budget, seeds, kappa, radius):
+    """The seeds' round loop: the stacked (k, n, d) streams xs and (k, n)
+    labels ys, and each seed's total loss.  The noise, which only the loop
+    reads, is dropped on return, before the oracle allocates its arrays."""
+    xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius)
+    k, n, d = xs.shape
+    margins = np.empty((n, k))
+    grad_prefix = np.zeros((k, d))
+    theta = np.zeros((k, d))
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
+        for t, (z, margin) in enumerate(zip(noise, margins)):
+            x, y = xs[:, t], ys[:, t]
+            np.multiply(y, np.vecdot(x, theta), out=margin)
+            grad_prefix += _shrink_rows(-(y * _sigmoid(-margin))[:, None] * x, kappa)
+            theta = _shrink_rows(-(grad_prefix + z) / lam, radius)
+    # the running total of each seed's losses, one round at a time (a sum
+    # down the column would be pairwise when there is one seed)
+    return xs, ys, np.cumsum(np.logaddexp(0.0, -margins), axis=0)[-1]
 
 
 def run_dp_ftrl_logistic_seeds(
@@ -353,24 +420,14 @@ def run_dp_ftrl_logistic_seeds(
     of tasks is never held whole.  Each round makes the operations of one
     ``LogisticTask.point_loss_grad`` and one ``DpFtrlLearner.step_gradient``
     per seed, elementwise on (k, d) blocks, with ``_shrink_rows`` for the
-    clip and the projection.
+    clip and the projection.  The losses are summed after the loop, and
+    the post-hoc optima come from ``_minimize_logistic_in_balls``.
     """
-    xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius)
-    n, k, d = xs.shape
-    incurred = np.zeros(k)
-    grad_prefix = np.zeros((k, d))
-    theta = np.zeros((k, d))
-    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
-        for x, y, z in zip(xs, ys, noise):
-            margin = y * np.vecdot(x, theta)
-            incurred += np.logaddexp(0.0, -margin)
-            grad_prefix += _shrink_rows(-(y * _sigmoid(-margin))[:, None] * x, kappa)
-            theta = _shrink_rows(-(grad_prefix + z) / lam, radius)
-
-    reports = []
-    for j, loss in enumerate(incurred):
-        task = LogisticTask(xs=np.ascontiguousarray(xs[:, j]), ys=ys[:, j])
-        theta_opt = minimize_logistic_in_ball(task, radius)
-        bound = regret_bound(n, kappa, d, budget, radius)
-        reports.append(regret_report(float(loss) / n, task.avg_loss(theta_opt), bound))
-    return reports
+    xs, ys, incurred = _lockstep_rounds(tasks, budget, seeds, kappa, radius)
+    _, n, d = xs.shape
+    optima = _minimize_logistic_in_balls(xs, ys, radius)
+    bound = regret_bound(n, kappa, d, budget, radius)
+    return [
+        regret_report(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(theta), bound)
+        for loss, x, y, theta in zip(incurred, xs, ys, optima)
+    ]

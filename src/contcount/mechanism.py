@@ -19,7 +19,13 @@ Randomness contract: all mechanisms draw from ``numpy.random.Generator``
 seeded with ``PCG64(seed)`` and use ``standard_normal`` (ziggurat), so a
 fixed seed reproduces outputs bit-for-bit.  Monte-Carlo trial i draws the
 row ``release`` would draw from ``seed + i``, so serial and parallel runs
-aggregate identically.  The trials are mapped in blocks of at most
+aggregate identically.  Seeds are integers, and ``seed + i`` is taken in
+Python ints, so it never wraps.  A block's row states are computed
+together (``_pcg64_states``, numpy's seeding in vectorised uint32 and
+uint64 arithmetic) and one generator is set to each in turn; every row
+equals ``PCG64(seed + i)``'s byte for byte, and
+``test_pcg64_states_equal_numpy_seeding`` fails if a numpy release seeds
+PCG64 differently.  The trials are mapped in blocks of at most
 ``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
 loop of one ``release`` per trial: each row goes through the same 1-D
 operations.  So a square-root block is one ``toeplitz_lower_matvec``
@@ -33,6 +39,7 @@ matrix-matrix product rounds differently), and every sum runs along a row
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -101,8 +108,18 @@ class PrivacyBudget:
         return noise_multiplier(self.epsilon, self.delta)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int, so that ``seed + i`` neither wraps nor
+    truncates; a non-integral seed is refused.  numpy refuses a negative
+    one when it is drawn from."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+
+
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -114,12 +131,145 @@ def _check_bits(bits) -> np.ndarray:
     return x
 
 
+# numpy's SeedSequence hashes with hashmix(v): v ^= h; h *= mult; v *= h;
+# v ^= v >> 16, in uint32.  The hash constants h do not depend on the data,
+# so call k xors c_k = init * mult^k and multiplies by c_(k+1).
+_MASK32 = 2**32 - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0, ..., count, as uint32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+# mix_entropy hashes the 4 pool words (calls 0-3), then mixes each hashed
+# word src into every other word dst in order, 3 calls per src (calls 4-15):
+# _CROSS[src, dst] is the call of that pair (a placeholder where dst = src)
+_HASH_A = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, 16)
+_CROSS = np.array([[4 + 3 * src + max(dst - (dst >= src), 0) for dst in range(4)] for src in range(4)])
+_CROSS_XOR, _CROSS_MUL = _HASH_A[_CROSS], _HASH_A[_CROSS + 1]
+# generate_state(4, uint64) hashes the pool, cycled to 8 words
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# 0-d arrays: numpy applies them faster than scalars of the same dtype
+_MIX_L, _MIX_R, _U32_16 = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_U64_1, _U64_32, _U64_63, _U64_LOW = (np.array(c, dtype=np.uint64) for c in (1, 32, 63, _MASK32))
+# PCG64's 128-bit LCG multiplier M: its high and low words, and the low
+# word's 32-bit halves
+_PCG_HI, _PCG_LO = (np.array(c, dtype=np.uint64) for c in (2549297995355413924, 4865540595714422341))
+_PCG_LO_HI, _PCG_LO_LO = _PCG_LO >> _U64_32, _PCG_LO & _U64_LOW
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _U32_16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _U32_16)
+
+
+def _seed_pools(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).pool`` for each row of the (g, w) uint32
+    entropy words of the seeds, w >= 4, as numpy's ``mix_entropy`` builds
+    it.  That hashes a missing word as it hashes a 0, so seeds of up to 4
+    words, all those below 2^128, share one zero-padded pass."""
+    pool = _hashmix(entropy[:, :4], _HASH_A[:4], _HASH_A[1:5])
+    for src in range(4):
+        # column src is mixed too, with placeholder constants, and put back
+        mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MUL[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # each word past the fourth is then mixed into every pool word
+    extra = entropy.shape[1] - 4
+    if extra:
+        c = _hash_constants(int(_HASH_A[-1]), _HASH_MULT_A, 4 * extra)
+        for k in range(extra):
+            hashed = _hashmix(entropy[:, 4 + k, None], c[4 * k : 4 * k + 4], c[4 * k + 1 : 4 * k + 5])
+            pool = _mix(pool, hashed)
+    return pool
+
+
+def _mul_hi64(x: np.ndarray, y_hi: np.ndarray, y_lo: np.ndarray) -> np.ndarray:
+    """The high 64 bits of x * y, for uint64 x and y = y_hi 2^32 + y_lo."""
+    x_hi, x_lo = x >> _U64_32, x & _U64_LOW
+    lo_lo, lo_hi, hi_lo = x_lo * y_lo, x_lo * y_hi, x_hi * y_lo
+    mid = (lo_lo >> _U64_32) + (lo_hi & _U64_LOW) + (hi_lo & _U64_LOW)
+    return x_hi * y_hi + (lo_hi >> _U64_32) + (hi_lo >> _U64_32) + (mid >> _U64_32)
+
+
+def _pcg64_states(first: int, count: int) -> list[dict]:
+    """``PCG64(s).state`` for s = first, ..., first + count - 1, computed
+    for all seeds at once.
+
+    A seed's entropy is its 32-bit words, low first, which go through
+    numpy's ``SeedSequence`` (``_seed_pools``, then ``generate_state(4,
+    uint64)``); PCG64 then takes initstate s0 and initseq s1 from the four
+    64-bit words, high word first, and sets inc = 2 s1 + 1 and state =
+    (inc + s0) M + inc, mod 2^128, here in pairs of uint64 words.  The
+    seeds' words above the lowest are those of first >> 32, or of one more
+    past a multiple of 2^32, so the rows form at most two groups, each with
+    its own word count.
+    """
+    if count < 1:
+        return []
+    start = first & _MASK32
+    low = np.arange(start, start + count, dtype=np.uint64)
+    carry_at = min(count, 2**32 - start)
+    words = []
+    for rows, high in ((low[:carry_at], first >> 32), (low[carry_at:], (first >> 32) + 1)):
+        if not rows.size:
+            continue
+        high_words = []
+        while high:
+            high_words.append(high & _MASK32)
+            high >>= 32
+        entropy = np.zeros((rows.size, max(4, 1 + len(high_words))), dtype=np.uint32)
+        entropy[:, 0] = rows  # mod 2^32
+        entropy[:, 1 : 1 + len(high_words)] = high_words
+        pool = _seed_pools(entropy)
+        words.append(_hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1], _HASH_B[1:]))
+    w = np.concatenate(words).astype(np.uint64)
+    s0_hi, s0_lo, s1_hi, s1_lo = (w[:, 1::2] << _U64_32 | w[:, 0::2]).T
+    inc_hi = s1_hi << _U64_1 | s1_lo >> _U64_63
+    inc_lo = s1_lo << _U64_1 | _U64_1
+    a_lo = inc_lo + s0_lo
+    a_hi = inc_hi + s0_hi + (a_lo < inc_lo)
+    state_lo = a_lo * _PCG_LO + inc_lo
+    state_hi = (
+        _mul_hi64(a_lo, _PCG_LO_HI, _PCG_LO_LO) + a_lo * _PCG_HI + a_hi * _PCG_LO
+        + inc_hi + (state_lo < inc_lo)
+    )
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for s_hi, s_lo, i_hi, i_lo in zip(
+            state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()
+        )
+    ]
+
+
 def _normals(seed: int, rows: int, width: int) -> np.ndarray:
     """(rows, width) standard normals; row i is ``standard_normal(width)``
-    from ``PCG64(seed + i)``."""
+    from ``PCG64(seed + i)``, byte for byte.  One generator draws every
+    row: it is built from ``seed`` and then set to each later row's state
+    from ``_pcg64_states``."""
+    seed = _check_seed(seed)
     z = np.empty((rows, width))
+    rng = _generator(seed)
+    states = _pcg64_states(seed + 1, rows - 1)
     for i, row in enumerate(z):
-        _generator(seed + i).standard_normal(out=row)
+        if i:
+            rng.bit_generator.state = states[i - 1]
+        rng.standard_normal(out=row)
     return z
 
 
@@ -267,7 +417,7 @@ class StreamingCounter:
             raise ValueError(f"horizon must be >= 1, got {n}")
         self.n = n
         self.budget = budget
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self.t = 0
         self.running_sum = 0
         self.noise = _sqrt_noise(_normals(seed, 1, n), budget.noise_multiplier)[0]
@@ -331,6 +481,7 @@ def monte_carlo_mse(
     """
     n = int(n)
     trials = int(trials)
+    seed = _check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:

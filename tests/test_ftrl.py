@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contcount import cli, mechanism
+from contcount import cli, ftrl, mechanism
 from contcount.cli import main
 from contcount.ftrl import (
     DpFtrlLearner,
     LogisticTask,
+    _minimize_logistic_in_balls,
     _shrink,
     _shrink_rows,
     _sigmoid,
@@ -326,16 +327,39 @@ def test_run_matches_two_margin_loop(n, d):
         assert noise.tobytes() == _reference_noise(n, d, BUDGET, seed).tobytes()
 
 
+def _per_seed_minimize(task, radius):
+    """``minimize_logistic_in_ball`` as it ran before tasks ran in lockstep:
+    one task, two ``avg_grad`` calls per iteration.  It looks up
+    ``ftrl.project_ball`` at each call, so a test can patch the norm."""
+    step = 4.0
+    theta = np.zeros(task.d)
+    momentum = theta.copy()
+    t_acc = 1.0
+    for _ in range(ftrl._ORACLE_MAX_ITER):
+        grad = task.avg_grad(momentum)
+        nxt = ftrl.project_ball(momentum - step * grad, radius)
+        grad_at_theta = task.avg_grad(theta)
+        mapped = (theta - ftrl.project_ball(theta - step * grad_at_theta, radius)) / step
+        if np.linalg.norm(mapped) <= ftrl._ORACLE_TOL:
+            return theta
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        momentum = nxt + ((t_acc - 1.0) / t_next) * (nxt - theta)
+        theta = nxt
+        t_acc = t_next
+    raise RuntimeError(f"ball-constrained optimizer did not reach tolerance {ftrl._ORACLE_TOL}")
+
+
 def _per_seed_run(task, budget, seed, kappa=1.0, radius=1.0):
     """``run_dp_ftrl_logistic`` as it ran before seeds ran in lockstep: one
-    ``point_loss_grad`` and one ``DpFtrlLearner.step_gradient`` per round."""
+    ``point_loss_grad`` and one ``DpFtrlLearner.step_gradient`` per round,
+    a running loss total and ``_per_seed_minimize``."""
     learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
     incurred = 0.0
     for i in range(task.n):
         loss, grad = task.point_loss_grad(learner.theta, i)
         incurred += loss
         learner.step_gradient(grad)
-    theta_opt = minimize_logistic_in_ball(task, radius)
+    theta_opt = _per_seed_minimize(task, radius)
     bound = regret_bound(task.n, kappa, task.d, budget, radius)
     return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
 
@@ -439,6 +463,7 @@ def _per_seed_ftrl_csv(n, d, seed, count, kappa=1.0, radius=1.0):
         (24, 3, 20, []),
         (520, 2, 2, []),
         (24, 3, 5, ["--radius", "1e300"]),
+        (2048, 5, 20, []),
     ],
 )
 def test_ftrl_cli_equals_per_seed_loop(capsys, n, d, count, flags):
@@ -481,7 +506,73 @@ def test_ftrl_cli_equals_per_seed_loop_with_linalg_norm(capsys, monkeypatch, n, 
     args = ["ftrl", "--n", str(n), "--d", str(d), "--seed", str(seed), "--seeds-count", str(count)]
     assert main(args + ["--kappa", str(kappa), "--radius", str(radius)]) == 0
     got = capsys.readouterr().out
-    # the lockstep loop calls neither; the per-seed loop's learner calls both
+    # the lockstep loops call neither; the per-seed learner calls both and
+    # the per-seed oracle project_ball
     monkeypatch.setattr("contcount.ftrl.clip", _linalg_norm_shrink)
     monkeypatch.setattr("contcount.ftrl.project_ball", _linalg_norm_shrink)
     assert got == _per_seed_ftrl_csv(n, d, seed, count, kappa, radius)
+
+
+def _stacked(tasks):
+    return np.array([task.xs for task in tasks]), np.array([task.ys for task in tasks])
+
+
+# a task whose gradient is 0 stops at the first iteration, before the others
+STOPS_AT_ONCE = LogisticTask(xs=np.zeros((200, 3)), ys=np.ones(200))
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize(
+    "n, d, flip_prob, radius",
+    # flip_prob 0 is separable: the loss falls toward the sphere, which binds;
+    # radius 0.05 binds on noisy labels too
+    [(2048, 5, 0.25, 1.0), (300, 3, 0.0, 2.0), (97, 3, 0.25, 0.05), (50, 7, 0.25, 1e300)],
+)
+def test_lockstep_oracle_equals_per_seed_loop(k, n, d, flip_prob, radius):
+    tasks = [logistic_task(n, d, 2**40 + j, flip_prob) for j in range(k)]
+    want = np.array([_per_seed_minimize(task, radius) for task in tasks])
+    assert _minimize_logistic_in_balls(*_stacked(tasks), radius).tobytes() == want.tobytes()
+    assert np.array([minimize_logistic_in_ball(task, radius) for task in tasks]).tobytes() == want.tobytes()
+    if radius < 1e300 and (flip_prob == 0.0 or radius < 0.1):
+        assert np.linalg.norm(want, axis=1) == pytest.approx(radius, rel=1e-9)
+
+
+def test_lockstep_oracle_tasks_leave_at_their_own_iteration():
+    tasks = [logistic_task(200, 3, 1), STOPS_AT_ONCE, logistic_task(200, 3, 2, flip_prob=0.0), STOPS_AT_ONCE]
+    want = np.array([_per_seed_minimize(task, 1.0) for task in tasks])
+    got = _minimize_logistic_in_balls(*_stacked(tasks), 1.0)
+    assert got.tobytes() == want.tobytes()
+    assert not got[1].any() and got[0].any()
+
+
+def test_oracle_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(ftrl, "_ORACLE_MAX_ITER", 3)
+    slow = logistic_task(200, 3, 1)
+    with pytest.raises(RuntimeError) as want:
+        _per_seed_minimize(slow, 1.0)
+    for call in (
+        lambda: minimize_logistic_in_ball(slow, 1.0),
+        lambda: _minimize_logistic_in_balls(*_stacked([STOPS_AT_ONCE, slow]), 1.0),
+        lambda: run_dp_ftrl_logistic_seeds([slow, slow], BUDGET, [0, 1]),
+    ):
+        with pytest.raises(RuntimeError) as got:
+            call()
+        assert str(got.value) == str(want.value) == "ball-constrained optimizer did not reach tolerance 1e-08"
+    assert not _minimize_logistic_in_balls(*_stacked([STOPS_AT_ONCE]), 1.0).any()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_non_integral_seeds_are_refused(seed):
+    for call in (lambda: DpFtrlLearner(4, 2, BUDGET, seed), lambda: logistic_task(4, 2, seed)):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_equal_python_ints():
+    for seed in (np.uint64(2**64 - 1), np.int64(2**63 - 1), np.int32(5)):
+        task = logistic_task(6, 2, seed)
+        assert task.xs.tobytes() == logistic_task(6, 2, int(seed)).xs.tobytes()
+        learner = DpFtrlLearner(6, 2, BUDGET, seed)
+        assert type(learner.seed) is int
+        assert learner.noise.tobytes() == DpFtrlLearner(6, 2, BUDGET, int(seed)).noise.tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -580,3 +581,86 @@ def test_monte_carlo_refusals(args, match):
     fact = honaker_left(4) if fact else None
     with pytest.raises(ValueError, match=match):
         monte_carlo_mse(kind, n, trials, BUDGET, seed=0, fact=fact)
+
+
+def _per_row_normals(seed, rows, width):
+    """``mechanism._normals`` as it ran before the seeding was done in bulk:
+    one generator per row, built from ``PCG64(seed + i)``."""
+    z = np.empty((rows, width))
+    for i, row in enumerate(z):
+        np.random.Generator(np.random.PCG64(seed + i)).standard_normal(out=row)
+    return z
+
+
+@pytest.mark.parametrize("rows, width", [(0, 3), (1, 1), (2, 1), (3, 7), (250, 1024), (500, 511)])
+def test_normals_equal_per_row_generators(rows, width):
+    for seed in (0, 12345, 2**40 + 7):
+        got = mechanism._normals(seed, rows, width)
+        assert got.tobytes() == _per_row_normals(seed, rows, width).tobytes()
+
+
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**96, 2**128, 2**160])
+def test_normals_blocks_straddling_word_edges(edge):
+    # the rows on either side of the edge have seeds of different word counts
+    for seed, rows in ((edge - 3, 7), (edge - 1, 2), (edge - 5, 5), (edge, 4)):
+        got = mechanism._normals(seed, rows, 9)
+        assert got.tobytes() == _per_row_normals(seed, rows, 9).tobytes()
+
+
+def test_pcg64_states_equal_numpy_seeding():
+    # a numpy release that seeds PCG64 differently fails here, not silently
+    rng = np.random.default_rng(2024)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
+    seeds += [int(rng.integers(0, 2**63)) << int(rng.integers(0, 140)) for _ in range(60)]
+    for seed in seeds:
+        assert mechanism._pcg64_states(seed, 1) == [np.random.PCG64(seed).state]
+        assert mechanism._pcg64_states(seed, 3) == [np.random.PCG64(seed + i).state for i in range(3)]
+    assert mechanism._pcg64_states(5, 0) == []
+
+
+def test_normals_draw_one_generator_per_block(monkeypatch):
+    built = []
+    pcg64 = np.random.PCG64
+
+    def counting(seed):
+        built.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    block = mechanism._normals(2**32 - 2, 5, 4)
+    assert built == [2**32 - 2]
+    monkeypatch.undo()
+    assert block.tobytes() == _per_row_normals(2**32 - 2, 5, 4).tobytes()
+
+
+@pytest.mark.parametrize("seed", [7.9, 7.0, "7", None, np.float64(3.0), [1]])
+def test_non_integral_seeds_are_refused(seed):
+    x = np.array([1, 0, 1])
+    for call in (
+        lambda: release("factorization", x, BUDGET, seed),
+        lambda: monte_carlo_mse("binary", 4, 2, BUDGET, seed),
+        lambda: StreamingCounter(4, BUDGET, seed),
+        lambda: matrix_mechanism_run(honaker_left(3), x, BUDGET, seed),
+    ):
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+            call()
+
+
+def test_negative_seeds_are_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        release("binary", [1, 0], BUDGET, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        monte_carlo_mse("factorization", 4, 3, BUDGET, -2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 2), np.int64(2**63 - 1), np.uint32(2**32 - 1)])
+def test_numpy_integer_seeds_count_on_in_python_ints(seed):
+    # trial i draws from seed + i as a Python int: no wrap to 0, no overflow
+    want = _estimate(_monte_carlo_reference("factorization", 6, 3, BUDGET, int(seed)))
+    assert monte_carlo_mse("factorization", 6, 3, BUDGET, seed) == want
+    x = np.array([0, 1, 1, 0])
+    assert release("honaker", x, BUDGET, seed).tobytes() == release("honaker", x, BUDGET, int(seed)).tobytes()
+    counter = StreamingCounter(5, BUDGET, seed)
+    assert counter.seed == int(seed) and type(counter.seed) is int
+    assert counter.noise.tobytes() == StreamingCounter(5, BUDGET, int(seed)).noise.tobytes()
