@@ -12,6 +12,9 @@ and take the regularized argmin (a rescaling) projected onto the ball.
 
 Gradient clipping rescales to norm kappa whenever the gradient is longer
 than kappa, so clipped gradients always lie in the radius-kappa ball.
+Clipping and the projection onto the ball are one norm-and-rescale,
+``_shrink_rows``, on each row of a block: ``clip`` and ``project_ball``
+read their input as one row and always return a new array.
 
 ``run_dp_ftrl_logistic_seeds`` runs several seeds in lockstep: one round
 loop over a leading seed axis, whose per-round numpy calls serve every
@@ -55,48 +58,37 @@ _ORACLE_TOL = 1e-8
 _ORACLE_MAX_ITER = 200_000
 
 
-def _shrink(v: np.ndarray, r: float) -> np.ndarray:
-    """v itself if its Euclidean norm is at most r, else v rescaled to norm r.
+def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
+    """Each row of the (k, d) block v, rescaled to Euclidean norm r when its
+    norm is more than r; always a new array.
 
     The norm is sqrt(v . v), the value ``np.linalg.norm`` gives on vectors,
-    at less cost per call.  ``np.vdot`` gives that dot product bit for bit,
-    and inf with no overflow warning when it overflows; v is then first
-    scaled by a power of two, which is exact.
-    """
-    sq = float(np.vdot(v, v))
-    if sq != math.inf:
-        norm = math.sqrt(sq)
-        return v if norm <= r else v * (r / norm)
-    e = math.frexp(float(np.max(np.abs(v))))[1]
-    w = np.ldexp(v, -e)  # max |w| is in [1/2, 1), so w . w does not overflow
-    norm = math.sqrt(float(np.vdot(w, w)))
-    return v if norm <= math.ldexp(r, -e) else (w / norm) * r
-
-
-def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
-    """``_shrink`` on each row of the (k, d) block v, byte for byte.
-
-    ``np.vecdot`` makes one ddot per row, the dot product ``np.vdot``
-    makes, and ``r / norm`` is at least 1 exactly when the norm is at most
-    r, so the scale is then 1.  A row whose square overflows goes through
-    ``_shrink``.  Call it under ``np.errstate(over="ignore",
-    divide="ignore")``: a square may overflow, and a zero norm gives
-    r / 0 = inf.
+    at less cost per call: ``np.vecdot`` makes one ddot per row, and
+    ``r / norm`` is at least 1 exactly when the norm is at most r, so the
+    scale is then 1.  A row whose square overflows to inf is first scaled
+    by the power of two 2^-e that puts its largest entry in [1/2, 1), which
+    is exact; it is kept as it is when that scaled norm is at most r 2^-e,
+    and is otherwise (w / norm) r.  Call it under
+    ``np.errstate(over="ignore", divide="ignore")``: a square may
+    overflow, and a zero norm gives r / 0 = inf.
     """
     sq = np.vecdot(v, v)
     out = v * np.minimum(r / np.sqrt(sq), 1.0)[:, None]
     if math.inf in sq.tolist():
-        for i in np.flatnonzero(sq == math.inf):
-            out[i] = _shrink(v[i], r)
+        over = sq == math.inf
+        u = v[over]
+        e = np.frexp(np.abs(u).max(axis=1))[1][:, None]
+        w = np.ldexp(u, -e)
+        norm = np.sqrt(np.vecdot(w, w))[:, None]
+        out[over] = np.where(norm <= np.ldexp(r, -e), u, (w / norm) * r)
     return out
 
 
 def clip(g, kappa: float) -> np.ndarray:
-    """Rescale g to Euclidean norm at most kappa; always a new array."""
-    g = np.asarray(g, dtype=np.float64)
+    """Rescale g to Euclidean norm at most kappa (``project_ball``); always
+    a new array."""
     _check_positive_finite("clip norm kappa", kappa)
-    out = _shrink(g, kappa)
-    return g.copy() if out is g else out
+    return project_ball(g, kappa)
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -110,8 +102,11 @@ def _check_kappa_radius(kappa: float, radius: float) -> None:
 
 
 def project_ball(v, radius: float) -> np.ndarray:
-    """Euclidean projection onto the centered ball of the given radius."""
-    return _shrink(np.asarray(v, dtype=np.float64), radius)
+    """Euclidean projection onto the centered ball of the given radius, of v
+    read as one row of ``_shrink_rows``; always a new array."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
+        return _shrink_rows(v.reshape(1, -1), radius).reshape(v.shape)
 
 
 def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float) -> float:

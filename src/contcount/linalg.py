@@ -175,7 +175,8 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     row spectrum.  So a row's result is the same in any block (a 2-D FFT
     over the block rounds differently) and the same as a one-row call's
     (the product in the other order rounds differently).  The result is
-    written to ``out`` (``x`` itself is allowed) or to a new array.
+    written to ``out``, a float64 array of ``x``'s shape (``x`` itself is
+    allowed), or to a new array.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     v = np.asarray(x, dtype=np.float64)
@@ -188,6 +189,8 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
         raise ValueError("empty input")
     if out is None:
         out = np.empty(v.shape)
+    elif out.shape != v.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {v.shape}, got {out.dtype} of shape {out.shape}")
     rows, ys = np.atleast_2d(v), np.atleast_2d(out)
     if n <= TOEPLITZ_DIRECT_MAX:
         for row, y in zip(rows, ys):
@@ -445,7 +448,7 @@ def _percent_rows(conversions, cells) -> str:
 
 def format_csv_rows(row_format: str, columns) -> str:
     """``row_format % row`` for each row of the equal-length numpy ``columns``,
-    concatenated, byte for byte.
+    concatenated, byte for byte: "" when there are no rows.
 
     ``row_format`` is conversions (``%d``, ``%.17g``, ``%s``, ...) joined by
     commas and ended by a newline, one per column; a 2-D column fills one
@@ -461,6 +464,8 @@ def format_csv_rows(row_format: str, columns) -> str:
     if not row_format.endswith("\n") or len(conversions) != len(columns):
         raise ValueError(f"row format {row_format!r} does not match {len(columns)} columns")
     n = len(columns[0])
+    if n == 0:
+        return ""
     cells = [np.asarray(col).reshape(n, -1) for col in columns]
     layouts = []
     for conversion, values in zip(conversions, cells):

@@ -80,31 +80,26 @@ def noise_multiplier(epsilon: float, delta: float) -> float:
 class PrivacyBudget:
     """(eps, delta) privacy budget with its derived Gaussian noise multiplier.
 
-    The error guarantees are stated for 0 < eps <= 1; pass
-    ``allow_large_epsilon=True`` for exploratory runs beyond that.
-    ``override_noise_multiplier`` is a test hook (e.g. 0.0 disables noise
-    entirely); it leaves epsilon/delta untouched.
+    ``noise_multiplier(epsilon, delta)`` validates both values, so a budget
+    refused there is refused at construction.  The error guarantees are
+    stated for 0 < eps <= 1; pass ``allow_large_epsilon=True`` for
+    exploratory runs beyond that.  ``epsilon=math.inf`` gives multiplier 0:
+    no noise at all.
     """
 
     epsilon: float
     delta: float
     allow_large_epsilon: bool = False
-    override_noise_multiplier: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:  # also refuses nan
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        noise_multiplier(self.epsilon, self.delta)
         if self.epsilon > 1 and not self.allow_large_epsilon:
             raise ValueError(
                 f"epsilon={self.epsilon} > 1; pass allow_large_epsilon=True to override"
             )
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     @property
     def noise_multiplier(self) -> float:
-        if self.override_noise_multiplier is not None:
-            return self.override_noise_multiplier
         return noise_multiplier(self.epsilon, self.delta)
 
 

@@ -10,7 +10,6 @@ from contcount.ftrl import (
     DpFtrlLearner,
     LogisticTask,
     _minimize_logistic_in_balls,
-    _shrink,
     _shrink_rows,
     _sigmoid,
     clip,
@@ -29,7 +28,7 @@ from contcount.mechanism import PrivacyBudget
 from contcount.workload import counting_matrix
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
-NOISE_OFF = PrivacyBudget(1.0, 1e-6, override_noise_multiplier=0.0)
+NOISE_OFF = PrivacyBudget(math.inf, 1e-6, allow_large_epsilon=True)
 
 
 def test_clip_examples():
@@ -398,15 +397,53 @@ def test_lockstep_refusals():
         run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0])
 
 
+def _shrink(v, r):
+    """The one-vector shrink that ``clip`` and ``project_ball`` ran before
+    ``_shrink_rows`` served them: v itself if sqrt(v . v) is at most r,
+    else v rescaled to norm r, through a power of two when v . v
+    overflows."""
+    sq = float(np.vdot(v, v))
+    if sq != math.inf:
+        norm = math.sqrt(sq)
+        return v if norm <= r else v * (r / norm)
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    w = np.ldexp(v, -e)  # max |w| is in [1/2, 1), so w . w does not overflow
+    norm = math.sqrt(float(np.vdot(w, w)))
+    return v if norm <= math.ldexp(r, -e) else (w / norm) * r
+
+
+@pytest.mark.filterwarnings("error")
 def test_shrink_rows_equals_shrink():
     rng = np.random.default_rng(21)
     rows = [np.zeros(3), np.full(3, 1e200), np.array([1.5e308, -1.5e308, 0.0])]
     rows += list(rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-5, 5, size=(40, 1)))
-    v = np.array(rows)
+    # overflowing rows between ordinary ones, at magnitudes up to float64's largest
+    rows += list(rng.normal(size=(40, 3)) * 10.0 ** rng.integers(150, 308, size=(40, 1)))
+    v = rng.permutation(np.array(rows))
     for r in (1e-3, 1.0, 10.0, 1e300, 1e308):
+        with np.errstate(over="ignore"):
+            want = [_shrink(row, r) for row in v]
         with np.errstate(over="ignore", divide="ignore"):
             got = _shrink_rows(v, r)
-        assert got.tobytes() == np.array([_shrink(row, r) for row in v]).tobytes()
+        assert got.tobytes() == np.array(want).tobytes()
+        for row, expected in zip(v, want):
+            assert clip(row, r).tobytes() == expected.tobytes()
+            assert project_ball(row, r).tobytes() == expected.tobytes()
+        # 0-d, 2-D and empty inputs are one row of all their entries
+        for x in (v[0, 0], v[3:6], v[:, :0], np.zeros(0)):
+            with np.errstate(over="ignore"):
+                expected = np.asarray(_shrink(x, r))
+            for got in (clip(x, r), project_ball(x, r)):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_project_ball_returns_a_new_array():
+    for v in (np.array([0.3, 0.4]), np.zeros(3), np.full(2, 1e200)):
+        for shrink in (clip, project_ball):
+            got = shrink(v, 1e300)
+            assert got is not v
+            assert got.tobytes() == v.tobytes()
 
 
 def test_vectors_on_the_sphere_are_kept_past_the_float64_square():

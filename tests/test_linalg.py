@@ -12,6 +12,7 @@ from contcount.linalg import (
     TOEPLITZ_DIRECT_MAX,
     as_matrix,
     col_norm_1to2,
+    format_csv_rows,
     frobenius_norm,
     lower_toeplitz,
     min_eigenvalue_symmetric,
@@ -221,6 +222,22 @@ def test_toeplitz_matvec_shapes():
         toeplitz_lower_matvec(c, np.ones((1, 1, 2)))
     with pytest.raises(ValueError, match="mismatch"):
         toeplitz_lower_matvec(c, np.ones((3, 4)))
+    # too few rows, an integer dtype, and one row for a block were written
+    # to silently: in part, truncated, or row 0 only
+    for out in (np.empty((2, 2)), np.empty((3, 2), dtype=np.int64), np.empty(2)):
+        with pytest.raises(ValueError, match="out must be float64"):
+            toeplitz_lower_matvec(c, np.ones((3, 2)), out=out)
+
+
+def test_format_csv_rows_of_no_rows():
+    ints, floats, strs = np.zeros(0, dtype=np.int64), np.zeros(0), np.array([], dtype=str)
+    for row_format, columns in (
+        ("%d\n", [ints]),
+        ("%.17g\n", [floats]),
+        ("%s\n", [strs]),
+        ("%d,%.17g,%s\n", [np.zeros((0, 3), dtype=np.int64), floats, strs]),
+    ):
+        assert format_csv_rows(row_format, columns) == ""
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33])

@@ -26,7 +26,7 @@ from contcount.mechanism import (
 from contcount.workload import counting_matrix
 
 BUDGET = PrivacyBudget(1.0, 1e-10)
-NOISE_OFF = PrivacyBudget(1.0, 1e-10, override_noise_multiplier=0.0)
+NOISE_OFF = PrivacyBudget(math.inf, 1e-10, allow_large_epsilon=True)
 C2 = BUDGET.noise_multiplier**2
 
 
@@ -64,6 +64,15 @@ def test_privacy_budget_validation():
     with pytest.raises(ValueError):
         PrivacyBudget(math.nan, 1e-10, allow_large_epsilon=True)
     assert NOISE_OFF.noise_multiplier == 0.0
+
+
+def test_infinite_epsilon_is_the_only_noise_free_budget():
+    assert PrivacyBudget(math.inf, 1e-6, allow_large_epsilon=True).noise_multiplier == 0.0
+    with pytest.raises(ValueError, match="delta"):
+        PrivacyBudget(math.inf, 0.0, allow_large_epsilon=True)
+    # a budget cannot claim an epsilon and add another noise level
+    with pytest.raises(TypeError):
+        PrivacyBudget(1.0, 1e-6, override_noise_multiplier=0.0)
 
 
 def test_streaming_counter_noise_off_exact():
