@@ -98,10 +98,6 @@ def _emit_columns(header: str, row_format: str, columns, out_path: str | None) -
             fh.write(format_csv_rows(row_format, [c[start : start + CHUNK_ROWS] for c in columns]))
 
 
-def _budget(eps: float, delta: float) -> PrivacyBudget:
-    return PrivacyBudget(epsilon=eps, delta=delta, allow_large_epsilon=True)
-
-
 def cmd_coeffs(args) -> int:
     coeffs = sqrt_coefficients(args.n)
     _emit_columns("index,value", "%d,%.17g\n", [np.arange(len(coeffs)), coeffs], args.out)
@@ -161,15 +157,15 @@ def cmd_count(args) -> int:
     if len(bits) < n:
         raise ValueError(f"stream provides {len(bits)} bits but --n={n}")
     bits = bits[:n]
-    noisy = release(args.mechanism, bits, _budget(args.eps, args.delta), args.seed)
+    noisy = release(args.mechanism, bits, PrivacyBudget(args.eps, args.delta), args.seed)
     columns = [np.arange(1, n + 1), np.cumsum(bits), noisy]
     _emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
-    fact_budget = _budget(args.eps_fact, args.delta)
-    bin_budget = _budget(args.eps_bin, args.delta)
+    fact_budget = PrivacyBudget(args.eps_fact, args.delta)
+    bin_budget = PrivacyBudget(args.eps_bin, args.delta)
     ns = [2**k for k in range(1, args.n_max.bit_length())]
     upper = np.array([workload.err_upper_bound(n, fact_budget) for n in ns])
     lower = np.array([workload.err_lower_bound_matrix_mech(n, fact_budget) for n in ns])
@@ -202,7 +198,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_ftrl(args) -> int:
-    budget = _budget(args.eps, args.delta)
+    budget = PrivacyBudget(args.eps, args.delta)
     # object dtype: seeds at or beyond 2**63 stay exact Python ints, not floats
     seeds = np.array([args.seed + i for i in range(args.seeds_count)], dtype=object)
     # seeds run in lockstep, in groups whose stacked streams and noise hold

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .workload import _upper_log_factor, counting_matrix
+from .workload import _check_int, _upper_log_factor, counting_matrix
 
 __all__ = [
     "DENSE_LIMIT",
@@ -86,9 +86,7 @@ def sqrt_coefficients(n: int) -> np.ndarray:
     f(0) = 1 and f(k) = (1 - 1/(2k)) f(k-1); equivalently the double
     factorial ratio (2k-1)!!/(2k)!!.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     terms = np.ones(n)
     if n > 1:
         k = np.arange(1, n, dtype=np.float64)
@@ -99,9 +97,7 @@ def sqrt_coefficients(n: int) -> np.ndarray:
 def double_factorial_ratio(k: int) -> Fraction:
     """Exact (2k-1)!!/(2k)!! as a rational; the arbitrary-precision oracle
     for ``sqrt_coefficients``."""
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _check_int("k", k, 0)
     num = 1
     den = 1
     for i in range(1, k + 1):
@@ -117,6 +113,7 @@ def factor_row_norm_sq(coeffs: np.ndarray, t: int) -> float:
     submatrix.  A valid closed-form cap is 1 + ln(4t - 3)/pi (asserted in
     the tests); tighter constants circulate but fail numerically.
     """
+    t = _check_int("row index", t)
     if not 1 <= t <= len(coeffs):
         raise ValueError(f"row index must be in [1, {len(coeffs)}], got {t}")
     return float(np.sum(coeffs[:t] ** 2))
@@ -131,9 +128,7 @@ def factor_frobenius_sq(coeffs: np.ndarray) -> float:
 
 
 def _dense_guard(n: int, kind: str) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     if n > DENSE_LIMIT:
         raise ValueError(
             f"dense {kind} factorization refused for n={n} > {DENSE_LIMIT}; "
@@ -245,6 +240,7 @@ def honaker_left(n: int) -> Factorization:
     G^-1 are summed cumulatively (the counting matrix) and R^T is applied as
     prefix-sum differences over each node's leaf range, clipped at n.
     """
+    n = _dense_guard(n, "honaker")
     r = binary_right_factor(n)
     full = _next_pow2(n)
     # built transposed, so each node fills a contiguous row:
@@ -271,7 +267,7 @@ def expected_mse(fact: Factorization, budget, n: int) -> float:
 
     C^2 * ||R||_{1->2}^2 * ||L||_F^2 / n.
     """
-    if int(n) != fact.n:
+    if _check_int("n", n, 1) != fact.n:
         raise ValueError(f"n={n} disagrees with factorization size {fact.n}")
     c = budget.noise_multiplier
     col = fact.sensitivity
@@ -287,8 +283,6 @@ def suboptimality_ratio(n: int) -> float:
 
     nondecreasing for n >= 4 and approaching pi^2 / (2 ln(2)^2) ~ 10.27.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1)
     m = math.log2(n)
     return m * (1.0 + m) / (2.0 * _upper_log_factor(n) ** 2)

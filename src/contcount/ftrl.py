@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanism import PrivacyBudget, _check_seed, _generator, _normals, _sqrt_noise
-from .workload import _upper_log_factor
+from .workload import _check_int, _upper_log_factor
 
 __all__ = [
     "clip",
@@ -103,8 +103,11 @@ def _check_kappa_radius(kappa: float, radius: float) -> None:
 
 def project_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius, of v
-    read as one row of ``_shrink_rows``; always a new array."""
+    read as one row of ``_shrink_rows``; always a new array.  A NaN or
+    infinite entry is refused: it has no projection."""
     v = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"vector entries must be finite, got {v}")
     with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
         return _shrink_rows(v.reshape(1, -1), radius).reshape(v.shape)
 
@@ -117,6 +120,7 @@ def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: flo
 
     A strength that overflows float64, or underflows to 0, is refused.
     """
+    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
     _check_kappa_radius(kappa, radius)
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
@@ -136,6 +140,7 @@ def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: fl
 
     A bound that overflows float64 is refused.
     """
+    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
     _check_kappa_radius(kappa, radius)
     c = budget.noise_multiplier
     width = kappa * kappa + kappa * c * math.sqrt(d)
@@ -158,9 +163,7 @@ class DpFtrlLearner:
         kappa: float = 1.0,
         radius: float = 1.0,
     ):
-        n, d = int(n), int(d)
-        if n < 1 or d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+        n, d = _check_int("n", n, 1), _check_int("d", d, 1)
         _check_kappa_radius(kappa, radius)
         self.n = n
         self.d = d
@@ -259,9 +262,7 @@ def logistic_task(n: int, d: int, seed: int, flip_prob: float = 0.25) -> Logisti
     random direction and flip independently with probability ``flip_prob``.
     ``flip_prob=0`` yields linearly separable data.
     """
-    n, d = int(n), int(d)
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
     if not 0 <= flip_prob < 0.5:
         raise ValueError(f"flip probability must be in [0, 0.5), got {flip_prob}")
     rng = _generator(seed)

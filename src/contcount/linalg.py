@@ -5,11 +5,11 @@ products.  Everything here operates on plain 2-D float64 numpy arrays
 ("dense matrices"); the heavy decompositions delegate to numpy's LAPACK
 bindings, which satisfy the tolerances documented on each function.  The
 Toeplitz product uses ``numpy.fft``; the package needs nothing but numpy.
-CSV text is read by ``np.loadtxt`` and written by ``format_csv_rows``,
-which builds the bytes of Python's ``%`` formatting in numpy: a chunk of
-rows is one uint8 matrix of NUL-padded cell slots, written a uint32 or
-uint64 word at a time from digit-group tables and compacted by one
-``bytes.translate``.
+A matrix is read from CSV by ``np.loadtxt`` and written by ``np.savetxt``.
+``format_csv_rows`` formats the CLI's columns: it builds the bytes of
+Python's ``%`` formatting in numpy, a chunk of rows as one uint8 matrix of
+NUL-padded cell slots, written a uint32 or uint64 word at a time from
+digit-group tables and compacted by one ``bytes.translate``.
 
 All functions are pure and safe for concurrent use, except that
 ``read_matrix_csv`` swaps the process's warning filters while it parses.
@@ -60,16 +60,17 @@ PINV_ATOL = 1.0 / np.finfo(np.float64).max
 # 512 (37 / 36 us there).
 TOEPLITZ_DIRECT_MAX = 512
 
-# Entries formatted per write by ``write_matrix_csv``.
-CSV_CHUNK_CELLS = 4096
-
 
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a 2-D float64 array and validate it.
 
-    Rejects empty matrices and non-finite entries (NaN/Inf).
+    Rejects complex input (numpy would drop the imaginary parts), empty
+    matrices and non-finite entries (NaN/Inf).
     """
-    a = np.asarray(values, dtype=np.float64)
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ValueError(f"expected a real matrix, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -266,14 +267,9 @@ def _read_matrix_csv_lines(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, a) -> None:
-    """Write a matrix as CSV (no header), every entry as ``%.17g``, which
-    round-trips float64 exactly.  About CSV_CHUNK_CELLS entries are formatted
-    per write by ``format_csv_rows``."""
-    a = as_matrix(a)
-    rows = max(1, CSV_CHUNK_CELLS // a.shape[1])
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, a.shape[0], rows):
-            fh.write(format_csv_rows("%.17g\n", [a[start : start + rows]]))
+    """Write a matrix as CSV (no header) with ``np.savetxt``, every entry as
+    ``%.17g``, which round-trips float64 exactly."""
+    np.savetxt(path, as_matrix(a), fmt="%.17g", delimiter=",")
 
 
 # Decimal digits of 0..9999, four ASCII bytes each, read as one uint32.
@@ -362,8 +358,7 @@ _G17_LEAD = _G17_LEAD.view(np.uint64)[:, 0]
 
 def _store(out, start, words):
     """Write ``words``, one per cell of ``out``, at slot ``start`` of each."""
-    view = out[..., start : start + words.itemsize].view(words.dtype)[..., 0]
-    view[...] = words.reshape(view.shape)
+    out[:, start : start + words.itemsize].view(words.dtype)[:, 0] = words
 
 
 def _rounded_17(a, e):
@@ -386,13 +381,13 @@ def _rounded_17(a, e):
 def _g17_cells(x):
     """Slot count, writer and fallback cells of ``"%.17g" % v`` on float64:
     the writer fills the 40 slots (``_g17_templates``) of the cells that
-    print in fixed notation, 1e-4 <= |v| < 1e17; the flat indices of the
-    others are left to ``%``."""
+    print in fixed notation, 1e-4 <= |v| < 1e17; the indices of the others
+    are left to ``%``."""
     ax = np.abs(x)
     slow = ~((ax >= 1e-4) & (ax < 1e17))  # also nan
 
     def write(out):
-        a = np.where(slow, 1.0, ax).reshape(-1)
+        a = np.where(slow, 1.0, ax)
         e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
         digits = _rounded_17(a, e)
         # next to a power of ten log10 may put e one off, and rounding to 17
@@ -402,7 +397,7 @@ def _g17_cells(x):
             e[fix] += np.where(digits[fix] >= 10**17, 1, -1)
             digits[fix] = _rounded_17(a[fix], e[fix])
         e4 = e + 4
-        row = 4 * e4 + 2 * (digits % _FRACTION_DIV[e4] != 0) + (x.reshape(-1) < 0)
+        row = 4 * e4 + 2 * (digits % _FRACTION_DIV[e4] != 0) + (x < 0)
         lead = digits // 10**16
         _store(out, 0, _G17_TEMPLATES[0][row] | _G17_LEAD[lead])
         rest = digits - lead * 10**16
@@ -420,13 +415,13 @@ def _int_cells(v):
     """Slot count, writer and (no) fallback cells of ``"%d" % v`` on int64:
     a sign slot if any v is negative, then 4-digit groups of |v| (-2^63
     included, as uint64), as many as the largest |v| needs."""
-    a = np.abs(v).reshape(-1).view(np.uint64)  # abs(-2^63) is -2^63: 2^63 as uint64
+    a = np.abs(v).view(np.uint64)  # abs(-2^63) is -2^63: 2^63 as uint64
     ngroups = -(-len(str(int(a.max()))) // 4)
     signed = int(v.min() < 0)
 
     def write(out):
         if signed:
-            out[..., 0] = (v < 0) * np.uint8(45)  # "-"
+            out[:, 0] = (v < 0) * np.uint8(45)  # "-"
         rest = a
         for j in range(ngroups - 1, 0, -1):
             q = rest // 10**4
@@ -439,20 +434,17 @@ def _int_cells(v):
     return signed + 4 * ngroups, write, np.empty(0, dtype=np.intp)
 
 
-def _percent_rows(conversions, cells) -> str:
+def _percent_rows(row_format: str, cells) -> str:
     """``format_csv_rows`` by Python's ``%``, one row at a time."""
-    row_format = ",".join(c for c, col in zip(conversions, cells) for _ in range(col.shape[1]))
-    entries = [entry for col in cells for entry in col.T.tolist()]
-    return "".join((row_format + "\n") % row for row in zip(*entries))
+    return "".join(row_format % row for row in zip(*(col.tolist() for col in cells)))
 
 
 def format_csv_rows(row_format: str, columns) -> str:
-    """``row_format % row`` for each row of the equal-length numpy ``columns``,
-    concatenated, byte for byte: "" when there are no rows.
+    """``row_format % row`` for each row of the equal-length 1-D numpy
+    ``columns``, concatenated, byte for byte: "" when there are no rows.
 
     ``row_format`` is conversions (``%d``, ``%.17g``, ``%s``, ...) joined by
-    commas and ended by a newline, one per column; a 2-D column fills one
-    cell per entry of its row with its conversion.  The rows are one uint8
+    commas and ended by a newline, one per column.  The rows are one uint8
     matrix in which every cell owns a fixed run of slots, ended by its
     separator.  ``%.17g`` on float64 and ``%d`` on int64 write their slots in
     numpy (``_g17_cells``, ``_int_cells``); every other cell is formatted by
@@ -463,10 +455,14 @@ def format_csv_rows(row_format: str, columns) -> str:
     conversions = row_format[:-1].split(",")
     if not row_format.endswith("\n") or len(conversions) != len(columns):
         raise ValueError(f"row format {row_format!r} does not match {len(columns)} columns")
-    n = len(columns[0])
+    cells = [np.asarray(col) for col in columns]
+    shape = cells[0].shape
+    if len(shape) != 1 or any(col.shape != shape for col in cells):
+        shapes = [col.shape for col in cells]
+        raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
+    n = shape[0]
     if n == 0:
         return ""
-    cells = [np.asarray(col).reshape(n, -1) for col in columns]
     layouts = []
     for conversion, values in zip(conversions, cells):
         if conversion == "%.17g" and values.dtype == np.float64:
@@ -475,21 +471,21 @@ def format_csv_rows(row_format: str, columns) -> str:
             width, write, where = _int_cells(values)
         else:
             width, write, where = 0, None, np.arange(values.size)
-        texts = [(conversion % value).encode() for value in values.reshape(-1)[where].tolist()]
+        texts = [(conversion % value).encode() for value in values[where].tolist()]
         if any(b"\0" in t for t in texts):
-            return _percent_rows(conversions, cells)
+            return _percent_rows(row_format, cells)
         width = max([width, *map(len, texts)])  # fast slots hold every fallback text
-        layouts.append((values.shape[1], width, write, where, texts))
-    chars = np.zeros((n, sum(m * (width + 1) for m, width, *_ in layouts)), dtype=np.uint8)
+        layouts.append((width, write, where, texts))
+    chars = np.zeros((n, sum(width + 1 for width, *_ in layouts)), dtype=np.uint8)
     start = 0
-    for m, width, write, where, texts in layouts:
-        out = chars[:, start : start + m * (width + 1)].reshape(n, m, width + 1)
-        start += m * (width + 1)
+    for width, write, where, texts in layouts:
+        out = chars[:, start : start + width + 1]
+        start += width + 1
         if write is not None:
-            write(out[..., :-1])
+            write(out[:, :-1])
         if texts:
             padded = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8)
-            out[where // m, where % m, :-1] = padded.reshape(-1, width)
-        out[..., -1] = ord(",")
+            out[where, :-1] = padded.reshape(-1, width)
+        out[:, -1] = ord(",")
     chars[:, -1] = ord("\n")
     return chars.tobytes().translate(None, b"\0").decode()

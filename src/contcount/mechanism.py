@@ -18,12 +18,12 @@ s * C(eps, delta), where
 Randomness contract: all mechanisms draw from ``numpy.random.Generator``
 seeded with ``PCG64(seed)`` and use ``standard_normal`` (ziggurat), so a
 fixed seed reproduces outputs bit-for-bit.  Monte-Carlo trial i draws the
-row ``release`` would draw from ``seed + i``, so serial and parallel runs
-aggregate identically.  Seeds are integers, and ``seed + i`` is taken in
-Python ints, so it never wraps.  A block's row states are computed
-together (``_pcg64_states``, numpy's seeding in vectorised uint32 and
-uint64 arithmetic) and one generator is set to each in turn; every row
-equals ``PCG64(seed + i)``'s byte for byte, and
+row ``release`` would draw from ``seed + i``, so each trial equals its own
+``release``.  Seeds are integers (``workload._check_int``), and
+``seed + i`` is taken in Python ints, so it never wraps.  A block's row
+states are computed together (``_pcg64_states``, numpy's seeding in
+vectorised uint32 and uint64 arithmetic) and one generator is set to each
+in turn; every row equals ``PCG64(seed + i)``'s byte for byte, and
 ``test_pcg64_states_equal_numpy_seeding`` fails if a numpy release seeds
 PCG64 differently.  The trials are mapped in blocks of at most
 ``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
@@ -39,7 +39,6 @@ matrix-matrix product rounds differently), and every sum runs along a row
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -52,6 +51,7 @@ from .factorization import (
     sqrt_coefficients,
 )
 from .linalg import toeplitz_lower_matvec
+from .workload import _check_int
 
 __all__ = [
     "noise_multiplier",
@@ -81,22 +81,17 @@ class PrivacyBudget:
     """(eps, delta) privacy budget with its derived Gaussian noise multiplier.
 
     ``noise_multiplier(epsilon, delta)`` validates both values, so a budget
-    refused there is refused at construction.  The error guarantees are
-    stated for 0 < eps <= 1; pass ``allow_large_epsilon=True`` for
-    exploratory runs beyond that.  ``epsilon=math.inf`` gives multiplier 0:
-    no noise at all.
+    refused there is refused at construction: every eps > 0 and every delta
+    in (0, 1) is accepted.  The paper states its error guarantees for
+    0 < eps <= 1; larger values are exploratory.  ``epsilon=math.inf``
+    gives multiplier 0: no noise at all.
     """
 
     epsilon: float
     delta: float
-    allow_large_epsilon: bool = False
 
     def __post_init__(self):
         noise_multiplier(self.epsilon, self.delta)
-        if self.epsilon > 1 and not self.allow_large_epsilon:
-            raise ValueError(
-                f"epsilon={self.epsilon} > 1; pass allow_large_epsilon=True to override"
-            )
 
     @property
     def noise_multiplier(self) -> float:
@@ -107,10 +102,7 @@ def _check_seed(seed) -> int:
     """``seed`` as a Python int, so that ``seed + i`` neither wraps nor
     truncates; a non-integral seed is refused.  numpy refuses a negative
     one when it is drawn from."""
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    return _check_int("seed", seed)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -407,9 +399,7 @@ class StreamingCounter:
     """
 
     def __init__(self, n: int, budget: PrivacyBudget, seed: int):
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"horizon must be >= 1, got {n}")
+        n = _check_int("horizon", n, 1)
         self.n = n
         self.budget = budget
         self.seed = _check_seed(seed)
@@ -474,13 +464,9 @@ def monte_carlo_mse(
     with ``"honaker"``: the trials then run the dense ``_matrix_counts``,
     byte for byte ``matrix_mechanism_run(fact, zeros, budget, seed + i)``.
     """
-    n = int(n)
-    trials = int(trials)
+    n = _check_int("horizon", n, 1)
+    trials = _check_int("trials", trials, 1)
     seed = _check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
     draw_width, counts = _mechanism(kind)
     width = draw_width(n)
     if fact is not None:

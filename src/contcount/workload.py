@@ -9,6 +9,7 @@ tests can cross-check every closed form against a numeric oracle.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -31,11 +32,21 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int, read by ``operator.index``: a float, 4.0
+    included, is refused rather than truncated.  With ``low``, a value
+    below it is refused too."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"stream length must be >= 1, got {n}")
-    return n
+    return _check_int("stream length", n, 1)
 
 
 def _upper_log_factor(n) -> float:
@@ -67,6 +78,7 @@ def counting_singular_value(n: int, i: int) -> float:
     sigma_i = (1/2) |csc((2i - 1) pi / (4n + 2))|, strictly decreasing in i.
     """
     n = _check_n(n)
+    i = _check_int("singular value index", i)
     if not 1 <= i <= n:
         raise ValueError(f"singular value index must be in [1, {n}], got {i}")
     return 0.5 / abs(math.sin((2 * i - 1) * math.pi / (4 * n + 2)))
@@ -132,6 +144,7 @@ def err_lower_bound_matrix_mech(n: int, budget) -> float:
 def binary_expected_err(n: int, budget) -> float:
     """Closed-form expected MSE of the binary mechanism at a power-of-two n:
     C^2 (1 + log2 n) (n log2(n)/2 + 1) / n, using the exact popcount norm."""
+    n = _check_n(n)
     if n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
     c = budget.noise_multiplier
@@ -161,9 +174,7 @@ def hadamard(d: int) -> np.ndarray:
 
     Entries are +-1 and H @ H.T = 2^d * I exactly.
     """
-    d = int(d)
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    d = _check_int("d", d, 0)
     h = np.ones((1, 1))
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
     for _ in range(d):
@@ -180,10 +191,8 @@ def parity_workload(d: int, w: int) -> np.ndarray:
     meaning x_i = (-1)^b).  Each row is the Hadamard row indexed by the
     bitmask of P, so shape is C(d, w) x 2^d.
     """
-    d, w = int(d), int(w)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not 1 <= w <= d:
+    d, w = _check_int("d", d, 1), _check_int("w", w, 1)
+    if w > d:
         raise ValueError(f"w must satisfy 1 <= w <= d, got w={w}, d={d}")
     masks = np.array([sum(1 << i for i in subset) for subset in combinations(range(d), w)])
     # parity of popcount(mask & col) decides the sign
@@ -198,7 +207,7 @@ def parity_gamma_lower(d: int, w: int) -> float:
     because all C(d, w) singular values equal 2^(d/2); this evaluator returns
     the exact closed form without materializing the matrix.
     """
-    d, w = int(d), int(w)
-    if d < 1 or not 1 <= w <= d:
+    d, w = _check_int("d", d, 1), _check_int("w", w, 1)
+    if w > d:
         raise ValueError(f"invalid parity parameters d={d}, w={w}")
     return float(math.comb(d, w))

@@ -340,7 +340,7 @@ def test_criterion_12_dp_ftrl():
     per_seed_ok = max(regrets) <= 1.5 * bound
 
     # noise disabled: DP-FTRL must reproduce classical FTRL iterate-for-iterate
-    off = cc.PrivacyBudget(math.inf, 1e-6, allow_large_epsilon=True)
+    off = cc.PrivacyBudget(math.inf, 1e-6)
     task = cc.logistic_task(256, 5, seed=1)
     lam = cc.lambda_star(256, 1.0, 5, budget, 1.0)
     learner = cc.DpFtrlLearner(256, 5, off, seed=2, lam=lam)

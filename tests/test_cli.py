@@ -520,8 +520,8 @@ def _fmt(x):
 
 
 def _reference_compare_csv(n_max, eps_fact, eps_bin, delta):
-    fact = PrivacyBudget(eps_fact, delta, allow_large_epsilon=True)
-    binary = PrivacyBudget(eps_bin, delta, allow_large_epsilon=True)
+    fact = PrivacyBudget(eps_fact, delta)
+    binary = PrivacyBudget(eps_bin, delta)
     lines = [
         "n,eps_fact,eps_bin,delta,err_fact_upper,err_lower_matrix_mech,"
         "err_binary_expected,ratio_binary_over_fact"
@@ -548,7 +548,7 @@ def _reference_certify_csv(path):
 
 
 def _reference_ftrl_csv(n, d, seed, count):
-    budget = PrivacyBudget(1.0, 1e-6, allow_large_epsilon=True)
+    budget = PrivacyBudget(1.0, 1e-6)
     lines = ["seed,regret,bound"]
     for s in range(seed, seed + count):
         report = run_dp_ftrl_logistic(logistic_task(n, d, s), budget, s + 2**32)
@@ -838,10 +838,9 @@ def test_writer_matches_percent_writer_on_mixed_width_columns():
     floats = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 20, n)
     _assert_writer_matches("%d,%d,%.17g,%d\n", [narrow, wide, floats, middle])
     _assert_writer_matches("%.17g,%d,%d\n", [floats, middle, narrow])
-    # a 2-D column fills one cell per entry
-    columns = [narrow, wide, middle, floats]
-    want = _reference_emit("h", "%d,%d,%d,%.17g\n", columns)
-    assert "h\n" + format_csv_rows("%d,%.17g\n", [np.stack(columns[:3], axis=1), floats]) == want
+    # columns are 1-D: a 2-D column is refused
+    with pytest.raises(ValueError, match="1-D"):
+        format_csv_rows("%d,%.17g\n", [np.stack([narrow, wide, middle], axis=1), floats])
 
 
 @pytest.mark.parametrize("kind", MECHANISM_KINDS)

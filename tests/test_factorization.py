@@ -244,7 +244,7 @@ def test_expected_mse_examples():
     assert expected_mse(binary_factorization(8), BUDGET, 8) == pytest.approx(
         6.5 * C2, rel=1e-12
     )
-    off = PrivacyBudget(math.inf, 1e-10, allow_large_epsilon=True)
+    off = PrivacyBudget(math.inf, 1e-10)
     assert expected_mse(sqrt_factorization(4), off, 4) == 0.0
     with pytest.raises(ValueError):
         expected_mse(sqrt_factorization(4), BUDGET, 5)

@@ -28,7 +28,7 @@ from contcount.mechanism import PrivacyBudget
 from contcount.workload import counting_matrix
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
-NOISE_OFF = PrivacyBudget(math.inf, 1e-6, allow_large_epsilon=True)
+NOISE_OFF = PrivacyBudget(math.inf, 1e-6)
 
 
 def test_clip_examples():
@@ -108,6 +108,26 @@ def test_clip_and_project_past_the_float64_square():
     want = np.array([1e308, -1e308, 0.0]) / math.sqrt(2.0)
     assert project_ball(huge, 1e308) == pytest.approx(want, rel=1e-15)
     assert clip(huge, 1e308) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_gradients_are_refused_before_the_state_moves(bad):
+    v = np.array([bad, 0.0])
+    for shrink in (clip, project_ball):
+        with pytest.raises(ValueError, match="finite"):
+            shrink(v, 1.0)
+    learner = DpFtrlLearner(4, 2, BUDGET, seed=0)
+    learner.step_gradient([0.5, -0.25])
+    prefix, theta = learner.grad_prefix.copy(), learner.theta.copy()
+    with pytest.raises(ValueError, match="finite"):
+        learner.step_gradient(v)
+    assert learner.t == 1
+    assert learner.grad_prefix.tobytes() == prefix.tobytes()
+    assert learner.theta.tobytes() == theta.tobytes()
+    # the learner goes on as if the bad gradient had never come
+    twin = DpFtrlLearner(4, 2, BUDGET, seed=0)
+    twin.step_gradient([0.5, -0.25])
+    assert learner.step_gradient([1.0, 1.0]).tobytes() == twin.step_gradient([1.0, 1.0]).tobytes()
 
 
 @pytest.mark.filterwarnings("error")

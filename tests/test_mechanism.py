@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -26,7 +27,7 @@ from contcount.mechanism import (
 from contcount.workload import counting_matrix
 
 BUDGET = PrivacyBudget(1.0, 1e-10)
-NOISE_OFF = PrivacyBudget(math.inf, 1e-10, allow_large_epsilon=True)
+NOISE_OFF = PrivacyBudget(math.inf, 1e-10)
 C2 = BUDGET.noise_multiplier**2
 
 
@@ -55,21 +56,21 @@ def test_noise_multiplier_domain():
 
 
 def test_privacy_budget_validation():
-    with pytest.raises(ValueError, match="allow_large_epsilon"):
-        PrivacyBudget(1.5, 1e-10)
-    assert PrivacyBudget(1.5, 1e-10, allow_large_epsilon=True).noise_multiplier > 0
-    assert PrivacyBudget(math.inf, 1e-10, allow_large_epsilon=True).noise_multiplier == 0.0
+    # one epsilon policy: every epsilon > 0 is accepted, beyond 1 too
+    assert [f.name for f in dataclasses.fields(PrivacyBudget)] == ["epsilon", "delta"]
+    assert PrivacyBudget(1.5, 1e-10).noise_multiplier > 0
+    assert PrivacyBudget(math.inf, 1e-10).noise_multiplier == 0.0
     with pytest.raises(ValueError):
         PrivacyBudget(1.0, 0.0)
     with pytest.raises(ValueError):
-        PrivacyBudget(math.nan, 1e-10, allow_large_epsilon=True)
+        PrivacyBudget(math.nan, 1e-10)
     assert NOISE_OFF.noise_multiplier == 0.0
 
 
 def test_infinite_epsilon_is_the_only_noise_free_budget():
-    assert PrivacyBudget(math.inf, 1e-6, allow_large_epsilon=True).noise_multiplier == 0.0
+    assert PrivacyBudget(math.inf, 1e-6).noise_multiplier == 0.0
     with pytest.raises(ValueError, match="delta"):
-        PrivacyBudget(math.inf, 0.0, allow_large_epsilon=True)
+        PrivacyBudget(math.inf, 0.0)
     # a budget cannot claim an epsilon and add another noise level
     with pytest.raises(TypeError):
         PrivacyBudget(1.0, 1e-6, override_noise_multiplier=0.0)
