@@ -20,7 +20,7 @@ Schur-complement expression
     2 mu / ((n + 1) + sqrt((n + 1)^2 - 4 mu)),   mu = lambda_min(n I_k - G),
 
 where G is Z Z^T (n <= m) or Z^T Z (n > m).  It is compared against the
-same threshold -tol * (1 + ||Z||_F) as the dense block would be.
+same threshold -FEASIBILITY_TOL * (1 + ||Z||_F) as the dense block would be.
 
 Only certificate *verification* is implemented; solving the SDP generically
 is out of scope.
@@ -48,6 +48,8 @@ __all__ = [
 
 # Entries of the dual weight vector must clear this to count as strictly positive.
 POSITIVITY_TOL = 1e-12
+# A least eigenvalue of at least -FEASIBILITY_TOL times the blocks' size counts as PSD.
+FEASIBILITY_TOL = 1e-9
 
 
 def gamma_lower(a) -> float:
@@ -121,16 +123,16 @@ def _feasibility_min_eigenvalue(z: np.ndarray) -> float:
     return 2.0 * mu / (scale * (c + math.sqrt(max(c * c - 4.0 * mu, 0.0))))
 
 
-def verify_certificate(a, cert: DualCertificate, tol: float = 1e-9) -> tuple[bool, float]:
+def verify_certificate(a, cert: DualCertificate) -> tuple[bool, float]:
     """Check dual feasibility of a certificate and evaluate its objective.
 
     Feasibility requires the weight structure (strictly positive entries,
     unit norm, first block constant) and positive semidefiniteness of
-    diag(n I, I) - Zhat, tested as min-eigenvalue >= -tol * (1 + ||Z||_F)
-    so the tolerance tracks the magnitude of the blocks.  The least
-    eigenvalue of that (n + m)^2 block is computed exactly from the k x k
-    Gram of Z, k = min(n, m), by the Schur-complement identity in the module
-    docstring; the threshold is unchanged.  The objective
+    diag(n I, I) - Zhat, tested as min-eigenvalue >= -FEASIBILITY_TOL
+    (1 + ||Z||_F) so the tolerance tracks the magnitude of the blocks.  The
+    least eigenvalue of that (n + m)^2 block is computed exactly from the
+    k x k Gram of Z, k = min(n, m), by the Schur-complement identity in the
+    module docstring; the threshold is unchanged.  The objective
     w^T (Ahat o Zhat) w = 2 w_1^T (A o Z) w_2 is returned either way; it is
     a valid lower bound on the factorization norm only when feasible.
     """
@@ -149,7 +151,7 @@ def verify_certificate(a, cert: DualCertificate, tol: float = 1e-9) -> tuple[boo
         and float(np.max(w[:n]) - np.min(w[:n])) <= 1e-12
     )
     scale = 1.0 + frobenius_norm(z)
-    psd_ok = _feasibility_min_eigenvalue(z) >= -tol * scale
+    psd_ok = _feasibility_min_eigenvalue(z) >= -FEASIBILITY_TOL * scale
 
     objective = 2.0 * float(w[:n] @ ((a * z) @ w[n:]))
     return structure_ok and psd_ok, objective
@@ -177,9 +179,7 @@ def build_diagonal_certificate(a) -> DiagonalCertificate:
     return DiagonalCertificate(beta=0.5, Y=y_mat, y=y_vec, claimed_objective=objective)
 
 
-def verify_diagonal_certificate(
-    a, cert: DiagonalCertificate, tol: float = 1e-9
-) -> tuple[bool, float]:
+def verify_diagonal_certificate(a, cert: DiagonalCertificate) -> tuple[bool, float]:
     """Feasibility and objective of a (beta, Y, y) certificate.
 
     Uses the Schur-complement criterion: diag(beta I, Delta(y)) dominates
@@ -193,6 +193,7 @@ def verify_diagonal_certificate(
         raise ValueError("certificate dimensions do not match the matrix")
     normalization_ok = abs(cert.beta + float(np.sum(y_vec)) - 1.0) <= 1e-12
     schur = np.diag(y_vec) - (y_mat.T @ y_mat) / cert.beta
-    psd_ok = min_eigenvalue_symmetric(schur) >= -tol * (1.0 + float(np.sum(np.abs(y_vec))))
+    scale = 1.0 + float(np.sum(np.abs(y_vec)))
+    psd_ok = min_eigenvalue_symmetric(schur) >= -FEASIBILITY_TOL * scale
     objective = float(np.trace(a @ y_mat.T) + np.trace(a.T @ y_mat))
     return normalization_ok and cert.beta > 0 and psd_ok, objective

@@ -262,13 +262,11 @@ def residual(fact: Factorization) -> float:
     return float(np.max(np.abs(fact.left @ fact.right - counting_matrix(n))))
 
 
-def expected_mse(fact: Factorization, budget, n: int) -> float:
+def expected_mse(fact: Factorization, budget) -> float:
     """Exact mean-squared error of the matrix mechanism using ``fact``:
 
-    C^2 * ||R||_{1->2}^2 * ||L||_F^2 / n.
+    C^2 * ||R||_{1->2}^2 * ||L||_F^2 / n, with n = ``fact.n``.
     """
-    if _check_int("n", n, 1) != fact.n:
-        raise ValueError(f"n={n} disagrees with factorization size {fact.n}")
     c = budget.noise_multiplier
     col = fact.sensitivity
     fro = linalg.frobenius_norm(fact.left)

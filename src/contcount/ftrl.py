@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import PrivacyBudget, _check_seed, _generator, _normals, _sqrt_noise
+from .mechanism import PrivacyBudget, _generator, _normals, _sqrt_noise
 from .workload import _check_int, _upper_log_factor
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "regret_bound",
     "DpFtrlLearner",
     "RegretReport",
-    "regret_report",
     "LogisticTask",
     "logistic_task",
     "minimize_logistic_in_ball",
@@ -103,8 +102,10 @@ def _check_kappa_radius(kappa: float, radius: float) -> None:
 
 def project_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius, of v
-    read as one row of ``_shrink_rows``; always a new array.  A NaN or
-    infinite entry is refused: it has no projection."""
+    read as one row of ``_shrink_rows``; always a new array.  The radius
+    must be positive and finite, and a NaN or infinite entry is refused: it
+    has no projection."""
+    _check_positive_finite("radius", radius)
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError(f"vector entries must be finite, got {v}")
@@ -172,7 +173,7 @@ class DpFtrlLearner:
         self.radius = float(radius)
         self.lam = float(lam) if lam is not None else lambda_star(n, kappa, d, budget, radius)
         _check_positive_finite("lam", self.lam)
-        self.seed = _check_seed(seed)
+        self.seed = _check_int("seed", seed)
         self.t = 0
         self.grad_prefix = np.zeros(d)
         self.theta = np.zeros(d)
@@ -205,14 +206,11 @@ class DpFtrlLearner:
 class RegretReport:
     avg_loss: float
     opt_loss: float
-    regret: float
     bound: float
 
-
-def regret_report(avg_loss: float, opt_loss: float, bound: float) -> RegretReport:
-    return RegretReport(
-        avg_loss=avg_loss, opt_loss=opt_loss, regret=avg_loss - opt_loss, bound=bound
-    )
+    @property
+    def regret(self) -> float:
+        return self.avg_loss - self.opt_loss
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def logistic_task(n: int, d: int, seed: int, flip_prob: float = 0.25) -> Logisti
     n, d = _check_int("n", n, 1), _check_int("d", d, 1)
     if not 0 <= flip_prob < 0.5:
         raise ValueError(f"flip probability must be in [0, 0.5), got {flip_prob}")
-    rng = _generator(seed)
+    rng = _generator(_check_int("seed", seed))
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
     xs = rng.standard_normal((n, d))
@@ -364,9 +362,9 @@ def run_dp_ftrl_logistic(
 
 def _stack_seeds(tasks, budget, seeds, kappa, radius):
     """Seed-major xs (k, n, d) and ys (k, n), round-major noise (n, k, d),
-    and lambda (k, 1), of the k tasks and of each seed's ``DpFtrlLearner``.
-    Each task and learner is copied in as it comes and then dropped, so
-    neither is held twice."""
+    and lambda (one float: it is the same for every seed), of the k tasks
+    and of each seed's ``DpFtrlLearner``.  Each task and learner is copied
+    in as it comes and then dropped, so neither is held twice."""
     k = len(seeds)
     if k == 0:
         raise ValueError("need at least one seed")
@@ -374,11 +372,11 @@ def _stack_seeds(tasks, budget, seeds, kappa, radius):
         if j == 0:
             n, d = task.n, task.d
             xs, noise = np.empty((k, n, d)), np.empty((n, k, d))
-            ys, lam = np.empty((k, n)), np.empty((k, 1))
+            ys = np.empty((k, n))
         if task.xs.shape != (n, d):
             raise ValueError(f"task {j} has shape {task.xs.shape}, task 0 has {(n, d)}")
         learner = DpFtrlLearner(n, d, budget, seed, kappa=kappa, radius=radius)
-        xs[j], ys[j], noise[:, j], lam[j] = task.xs, task.ys, learner.noise, learner.lam
+        xs[j], ys[j], noise[:, j], lam = task.xs, task.ys, learner.noise, learner.lam
     return xs, ys, noise, lam
 
 
@@ -424,6 +422,6 @@ def run_dp_ftrl_logistic_seeds(
     optima = _minimize_logistic_in_balls(xs, ys, radius)
     bound = regret_bound(n, kappa, d, budget, radius)
     return [
-        regret_report(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(theta), bound)
+        RegretReport(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(theta), bound)
         for loss, x, y, theta in zip(incurred, xs, ys, optima)
     ]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,21 +68,26 @@ _BLOCK_VALUES = 2**18
 
 
 def noise_multiplier(epsilon: float, delta: float) -> float:
-    """Gaussian-mechanism noise multiplier C(eps, delta) for unit sensitivity."""
+    """Gaussian-mechanism noise multiplier C(eps, delta) for unit sensitivity;
+    a budget whose C^2 overflows float64 (eps < ~1e-153, delta < ~4.4e-309) is refused."""
     if not epsilon > 0:  # also refuses nan
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
+    epsilon, delta = float(epsilon), float(delta)  # an overflow is inf, with no numpy warning
+    c = (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
+    if c * c == math.inf:
+        raise ValueError(f"C(eps, delta)^2 overflows float64 at epsilon={epsilon}, delta={delta}")
+    return c
 
 
 @dataclass(frozen=True)
 class PrivacyBudget:
     """(eps, delta) privacy budget with its derived Gaussian noise multiplier.
 
-    ``noise_multiplier(epsilon, delta)`` validates both values, so a budget
-    refused there is refused at construction: every eps > 0 and every delta
-    in (0, 1) is accepted.  The paper states its error guarantees for
+    The multiplier is computed once, at construction, by ``noise_multiplier``,
+    which refuses a bad budget: every eps > 0 and delta in (0, 1) whose C^2
+    is finite is accepted.  The paper states its error guarantees for
     0 < eps <= 1; larger values are exploratory.  ``epsilon=math.inf``
     gives multiplier 0: no noise at all.
     """
@@ -91,22 +96,15 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        noise_multiplier(self.epsilon, self.delta)
+        self.noise_multiplier  # validates the budget and caches C
 
-    @property
+    @cached_property
     def noise_multiplier(self) -> float:
         return noise_multiplier(self.epsilon, self.delta)
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as a Python int, so that ``seed + i`` neither wraps nor
-    truncates; a non-integral seed is refused.  numpy refuses a negative
-    one when it is drawn from."""
-    return _check_int("seed", seed)
-
-
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -248,8 +246,7 @@ def _normals(seed: int, rows: int, width: int) -> np.ndarray:
     """(rows, width) standard normals; row i is ``standard_normal(width)``
     from ``PCG64(seed + i)``, byte for byte.  One generator draws every
     row: it is built from ``seed`` and then set to each later row's state
-    from ``_pcg64_states``."""
-    seed = _check_seed(seed)
+    from ``_pcg64_states``.  Callers pass ``seed`` through ``_check_int``."""
     z = np.empty((rows, width))
     rng = _generator(seed)
     states = _pcg64_states(seed + 1, rows - 1)
@@ -399,13 +396,12 @@ class StreamingCounter:
     """
 
     def __init__(self, n: int, budget: PrivacyBudget, seed: int):
-        n = _check_int("horizon", n, 1)
-        self.n = n
+        self.n = _check_int("horizon", n, 1)
         self.budget = budget
-        self.seed = _check_seed(seed)
+        self.seed = _check_int("seed", seed)
         self.t = 0
         self.running_sum = 0
-        self.noise = _sqrt_noise(_normals(seed, 1, n), budget.noise_multiplier)[0]
+        self.noise = _sqrt_noise(_normals(self.seed, 1, self.n), budget.noise_multiplier)[0]
 
     def step(self, x_t: int) -> float:
         """Consume one stream bit and return the noisy running count."""
@@ -425,7 +421,7 @@ class StreamingCounter:
 
 def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Generic matrix mechanism: L (R x + z) with z ~ N(0, ||R||_{1->2}^2 C^2 I)."""
-    z = _normals(seed, 1, fact.right.shape[0])
+    z = _normals(_check_int("seed", seed), 1, fact.right.shape[0])
     return _matrix_counts(fact, x, z, budget.noise_multiplier)[0]
 
 
@@ -441,7 +437,8 @@ def release(kind: str, bits, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """
     draw_width, counts = _mechanism(kind)
     x = _check_bits(bits)
-    return counts(x, _normals(seed, 1, draw_width(x.shape[0])), budget.noise_multiplier)[0]
+    z = _normals(_check_int("seed", seed), 1, draw_width(x.shape[0]))
+    return counts(x, z, budget.noise_multiplier)[0]
 
 
 def monte_carlo_mse(
@@ -466,7 +463,7 @@ def monte_carlo_mse(
     """
     n = _check_int("horizon", n, 1)
     trials = _check_int("trials", trials, 1)
-    seed = _check_seed(seed)
+    seed = _check_int("seed", seed)
     draw_width, counts = _mechanism(kind)
     width = draw_width(n)
     if fact is not None:

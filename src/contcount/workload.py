@@ -143,13 +143,14 @@ def err_lower_bound_matrix_mech(n: int, budget) -> float:
 
 def binary_expected_err(n: int, budget) -> float:
     """Closed-form expected MSE of the binary mechanism at a power-of-two n:
-    C^2 (1 + log2 n) (n log2(n)/2 + 1) / n, using the exact popcount norm."""
+    C^2 (1 + log2 n) ((n log2(n)/2 + 1) / n), using the exact popcount norm;
+    dividing by n first is exact and keeps it finite up to n = 2^1014."""
     n = _check_n(n)
     if n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
     c = budget.noise_multiplier
     m = int(math.log2(n))
-    return c * c * (1.0 + m) * (n * m / 2.0 + 1.0) / n
+    return c * c * (1.0 + m) * ((n * m / 2.0 + 1.0) / n)
 
 
 def err_lower_bound_any_mechanism(n: int, epsilon: float, oblivious: bool = False) -> float:
@@ -157,15 +158,19 @@ def err_lower_bound_any_mechanism(n: int, epsilon: float, oblivious: bool = Fals
 
     Prefactor 1/(e^(4 eps) - 1)^2 in general, improving to
     1/(e^(2 eps) - 1)^2 for mechanisms whose noise is oblivious of the
-    input.  The general form is only proven for delta below an unspecified
-    small constant times e^(-eps); that precondition is not enforced here,
-    this is a pure formula evaluator.
+    input.  Where the square overflows float64 (eps > 88.7, or 177.4 when
+    oblivious) 0.0 is returned, as at eps = inf.  The general form is only
+    proven for delta below an unspecified small constant times e^(-eps);
+    that precondition is not enforced here: a pure formula evaluator.
     """
     n = _check_n(n)
     if not epsilon > 0:  # also refuses nan
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rate = 2.0 if oblivious else 4.0
-    pref = 1.0 / (math.expm1(rate * epsilon)) ** 2
+    try:
+        pref = 1.0 / (math.expm1(rate * epsilon)) ** 2
+    except OverflowError:
+        return 0.0
     return (pref / math.pi**2) * _lower_log_factor(n) ** 2
 
 

@@ -118,7 +118,7 @@ def test_criterion_04_gamma_sandwich():
     # n = 1: the attained values.  ||M_1||_1 = 1 and the sqrt factorization
     # attains norm 1; the upper formula is vacuous there (below 1).
     trace1 = schatten1(cc.counting_matrix(1))
-    attained1 = math.sqrt(1 * cc.expected_mse(cc.sqrt_factorization(1), BUDGET, 1) / C2)
+    attained1 = math.sqrt(1 * cc.expected_mse(cc.sqrt_factorization(1), BUDGET) / C2)
     lower1, upper1 = cc.gamma_lower_bound_count(1), cc.gamma_upper_bound_count(1)
     n1_ok = lower1 <= trace1 == 1.0 and math.isclose(attained1, 1.0, rel_tol=1e-12) and upper1 < 1.0
 
@@ -144,11 +144,11 @@ def test_criterion_05_gap_claim():
 def test_criterion_06_monte_carlo_error():
     trials = 100_000
     est2, se2 = cc.monte_carlo_mse("factorization", 2, trials, BUDGET, seed=11)
-    closed2 = cc.expected_mse(cc.sqrt_factorization(2), BUDGET, 2)  # 1.40625 C^2
+    closed2 = cc.expected_mse(cc.sqrt_factorization(2), BUDGET)  # 1.40625 C^2
     ok2 = abs(est2 - closed2) <= 3 * se2
 
     est8, se8 = cc.monte_carlo_mse("factorization", 8, trials, BUDGET, seed=22)
-    closed8 = cc.expected_mse(cc.sqrt_factorization(8), BUDGET, 8)
+    closed8 = cc.expected_mse(cc.sqrt_factorization(8), BUDGET)
     ok8 = abs(est8 - closed8) <= 3 * se8
 
     estb, seb = cc.monte_carlo_mse("binary", 8, trials, BUDGET, seed=33)
@@ -209,7 +209,7 @@ def test_criterion_09_certificates():
         n, m = int(rng.integers(1, 13)), int(rng.integers(1, 13))
         a = rng.normal(size=(n, m))
         cert = cc.build_svd_certificate(a)
-        feasible, objective = cc.verify_certificate(a, cert, tol=1e-9)
+        feasible, objective = cc.verify_certificate(a, cert)
         svd_ok &= feasible
         svd_ok &= abs(objective - cc.gamma_lower(a)) <= 1e-9 * (1 + abs(objective))
 
@@ -218,7 +218,7 @@ def test_criterion_09_certificates():
         n = int(rng.integers(1, 13))
         d = np.diag(rng.normal(size=n) + np.sign(rng.normal(size=n)) * 0.1)
         cert = cc.build_diagonal_certificate(d)
-        feasible, objective = cc.verify_diagonal_certificate(d, cert, tol=1e-9)
+        feasible, objective = cc.verify_diagonal_certificate(d, cert)
         diag_ok &= feasible
         upper = cc.gamma_upper(d)
         diag_ok &= abs(objective - upper) <= 1e-9 * (1 + upper)

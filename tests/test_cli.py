@@ -675,6 +675,37 @@ def test_compare_n_max_limit(tmp_path, capsys):
     _assert_usage_error(["compare", "--n-max", str(last + 1)], message, tmp_path, capsys)
 
 
+def test_compare_is_finite_up_to_its_limit(capsys):
+    # the binary column's product C^2 (1 + m)(n m / 2 + 1) alone overflows
+    # from n = 2^999 on; the division by n must come first
+    code, out, err = run_cli(["compare", "--n-max", str(cli.N_MAX_LIMIT)], capsys)
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) == 1014
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@pytest.mark.parametrize(
+    "args, budget",
+    [
+        (["count", "--eps", "1e-310"], "epsilon=1e-310, delta=1e-10"),
+        (["compare", "--n-max", "8", "--eps-fact", "1e-300"], "epsilon=1e-300, delta=1e-10"),
+        (["compare", "--n-max", "8", "--eps-bin", "1e-200"], "epsilon=1e-200, delta=1e-10"),
+        (["ftrl", "--n", "8", "--d", "2", "--eps", "1e-300"], "epsilon=1e-300, delta=1e-06"),
+        (["count", "--delta", "5e-324"], "epsilon=1.0, delta=5e-324"),
+    ],
+)
+def test_budget_whose_noise_overflows_is_refused(tmp_path, capsys, args, budget):
+    # with C^2 = inf, count would print inf/-inf counts and compare inf bounds
+    if args[0] == "count":
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n1\n")
+        args = args + ["--input", str(bits)]
+    code, out, err = run_cli(args, capsys)
+    message = f"contcount: error: C(eps, delta)^2 overflows float64 at {budget}\n"
+    assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize(
     "args,flag,kind",
     [

@@ -238,29 +238,27 @@ def test_all_factorizations_residual_tolerances():
 
 
 def test_expected_mse_examples():
-    assert expected_mse(sqrt_factorization(2), BUDGET, 2) == pytest.approx(
+    assert expected_mse(sqrt_factorization(2), BUDGET) == pytest.approx(
         1.40625 * C2, rel=1e-12
     )
-    assert expected_mse(binary_factorization(8), BUDGET, 8) == pytest.approx(
+    assert expected_mse(binary_factorization(8), BUDGET) == pytest.approx(
         6.5 * C2, rel=1e-12
     )
     off = PrivacyBudget(math.inf, 1e-10)
-    assert expected_mse(sqrt_factorization(4), off, 4) == 0.0
-    with pytest.raises(ValueError):
-        expected_mse(sqrt_factorization(4), BUDGET, 5)
+    assert expected_mse(sqrt_factorization(4), off) == 0.0
 
 
 def test_expected_mse_vs_norms():
     fact = honaker_left(16)
     want = C2 * col_norm_1to2(fact.right) ** 2 * frobenius_norm(fact.left) ** 2 / 16
-    assert expected_mse(fact, BUDGET, 16) == pytest.approx(want, rel=1e-12)
+    assert expected_mse(fact, BUDGET) == pytest.approx(want, rel=1e-12)
 
 
 def test_expected_mse_below_guarantee_from_seven():
     # the closed-form guarantee is loose enough from n = 7 on; for n <= 6
     # the exact mechanism error slightly exceeds it (ledger)
     for n in (7, 8, 16, 100, 1024, 4096):
-        assert expected_mse(sqrt_factorization(n), BUDGET, n) <= err_upper_bound(n, BUDGET)
+        assert expected_mse(sqrt_factorization(n), BUDGET) <= err_upper_bound(n, BUDGET)
 
 
 def test_suboptimality_ratio_values():

@@ -9,6 +9,7 @@ from contcount.cli import main
 from contcount.ftrl import (
     DpFtrlLearner,
     LogisticTask,
+    RegretReport,
     _minimize_logistic_in_balls,
     _shrink_rows,
     _sigmoid,
@@ -18,7 +19,6 @@ from contcount.ftrl import (
     minimize_logistic_in_ball,
     project_ball,
     regret_bound,
-    regret_report,
     run_dp_ftrl_logistic,
     run_dp_ftrl_logistic_seeds,
 )
@@ -281,7 +281,7 @@ def test_oracle_stationarity():
 
 
 def test_regret_report_fields():
-    rep = regret_report(avg_loss=0.5, opt_loss=0.2, bound=0.4)
+    rep = RegretReport(avg_loss=0.5, opt_loss=0.2, bound=0.4)
     assert rep.regret == pytest.approx(0.3)
 
 
@@ -323,7 +323,7 @@ def _reference_regret(task, budget, seed):
         learner.step_gradient(-(y * _sigmoid(-margin)) * x)
     theta_opt = minimize_logistic_in_ball(task, 1.0)
     bound = regret_bound(task.n, 1.0, task.d, budget, 1.0)
-    return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
+    return RegretReport(incurred / task.n, task.avg_loss(theta_opt), bound)
 
 
 def _reference_noise(n, d, budget, seed):
@@ -380,7 +380,7 @@ def _per_seed_run(task, budget, seed, kappa=1.0, radius=1.0):
         learner.step_gradient(grad)
     theta_opt = _per_seed_minimize(task, radius)
     bound = regret_bound(task.n, kappa, task.d, budget, radius)
-    return regret_report(incurred / task.n, task.avg_loss(theta_opt), bound)
+    return RegretReport(incurred / task.n, task.avg_loss(theta_opt), bound)
 
 
 @pytest.mark.filterwarnings("error")

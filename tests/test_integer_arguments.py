@@ -43,7 +43,6 @@ CASES = {
     "binary_left_factor-n": (fz.binary_left_factor, "n", 0),
     "binary_gram-n": (fz.binary_gram, "n", 0),
     "honaker_left-n": (fz.honaker_left, "n", 0),
-    "expected_mse-n": (lambda v: fz.expected_mse(fz.sqrt_factorization(4), BUDGET, v), "n", 0),
     "suboptimality_ratio-n": (fz.suboptimality_ratio, "n", 0),
     "StreamingCounter-n": (lambda v: mechanism.StreamingCounter(v, BUDGET, 0), "horizon", 0),
     "StreamingCounter-seed": (lambda v: mechanism.StreamingCounter(4, BUDGET, v), "seed", None),

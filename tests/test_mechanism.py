@@ -67,6 +67,21 @@ def test_privacy_budget_validation():
     assert NOISE_OFF.noise_multiplier == 0.0
 
 
+def test_privacy_budget_computes_its_multiplier_once(monkeypatch):
+    calls, original = [], mechanism.noise_multiplier
+
+    def counted(epsilon, delta):
+        calls.append((epsilon, delta))
+        return original(epsilon, delta)
+
+    monkeypatch.setattr(mechanism, "noise_multiplier", counted)
+    budget = PrivacyBudget(0.5, 1e-8)
+    assert [budget.noise_multiplier for _ in range(3)] == [budget.noise_multiplier] * 3
+    assert calls == [(0.5, 1e-8)]
+    # the cached value is not a field: equality and hashing see (epsilon, delta)
+    assert budget == PrivacyBudget(0.5, 1e-8) and hash(budget) == hash(PrivacyBudget(0.5, 1e-8))
+
+
 def test_infinite_epsilon_is_the_only_noise_free_budget():
     assert PrivacyBudget(math.inf, 1e-6).noise_multiplier == 0.0
     with pytest.raises(ValueError, match="delta"):
@@ -285,7 +300,7 @@ def test_monte_carlo_matches_closed_forms():
     assert abs(est - 6.5 * C2) <= 3 * se
     fact = honaker_left(4)
     est, se = monte_carlo_mse("honaker", 4, 20_000, BUDGET, seed=303, fact=fact)
-    assert abs(est - expected_mse(fact, BUDGET, 4)) <= 3 * se
+    assert abs(est - expected_mse(fact, BUDGET)) <= 3 * se
 
 
 def test_monte_carlo_binary_vs_sqrt_ratio():
@@ -425,7 +440,7 @@ def test_honaker_release_solves_normal_equations_beyond_dense_limit(n):
 @pytest.mark.parametrize("n, seed", [(8, 404), (100, 505)])
 def test_monte_carlo_honaker_structured_matches_closed_form(n, seed):
     est, se = monte_carlo_mse("honaker", n, 4000, BUDGET, seed)
-    assert abs(est - expected_mse(honaker_left(n), BUDGET, n)) <= 4 * se
+    assert abs(est - expected_mse(honaker_left(n), BUDGET)) <= 4 * se
 
 
 # The one-trial releases as they were before the mechanisms took a batch of

@@ -7,6 +7,7 @@ import pytest
 from contcount.linalg import schatten1, singular_values
 from contcount.mechanism import PrivacyBudget
 from contcount.workload import (
+    binary_expected_err,
     counting_inverse,
     counting_matrix,
     counting_schatten1,
@@ -130,6 +131,30 @@ def test_err_lower_any_mechanism_variants():
         err_lower_bound_any_mechanism(8, 0.0)
     with pytest.raises(ValueError):
         err_lower_bound_any_mechanism(8, math.nan)
+
+
+@pytest.mark.parametrize("oblivious", [False, True])
+@pytest.mark.parametrize("log2_n", [0, 10, 1014])
+def test_err_lower_any_mechanism_falls_to_zero_in_epsilon(log2_n, oblivious):
+    # the squared e^(rate eps) - 1 overflows from eps ~ 88.7 (177.4 oblivious),
+    # where the bound is below float64's normal range and reads 0.0, as at eps = inf
+    grid = np.geomspace(1e-3, 1e6, 2000).tolist() + [math.inf]
+    bounds = [err_lower_bound_any_mechanism(2**log2_n, eps, oblivious) for eps in grid]
+    assert all(b >= 0.0 for b in bounds)
+    assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
+    assert bounds[0] > 0.0 and bounds[-2] == bounds[-1] == 0.0
+
+
+def test_binary_expected_err_finite_up_to_two_to_the_1014():
+    # the product C^2 (1 + m)(n m / 2 + 1) alone overflows from n = 2^999 on
+    # (at eps = 1), so the exact division by n must come first
+    for k in (998, 999, 1000, 1014):
+        n = 2**k
+        value = binary_expected_err(n, BUDGET)
+        assert math.isfinite(value)
+        assert value == pytest.approx(C2 * (1 + k) * (k / 2 + 1 / n), rel=1e-15)
+    # dividing by a power of two first is exact: the old order's bits where it was finite
+    assert binary_expected_err(2**10, BUDGET) == C2 * 11 * (10 * 1024 / 2 + 1) / 1024
 
 
 def test_hadamard_examples():
