@@ -13,8 +13,9 @@ and take the regularized argmin (a rescaling) projected onto the ball.
 Gradient clipping rescales to norm kappa whenever the gradient is longer
 than kappa, so clipped gradients always lie in the radius-kappa ball.
 Clipping and the projection onto the ball are one norm-and-rescale,
-``_shrink_rows``, on each row of a block: ``clip`` and ``project_ball``
-read their input as one row and always return a new array.
+``_shrink_rows_in_place``, on each row of a block: the lockstep rounds
+apply it to their buffers, and ``clip`` and ``project_ball`` read their
+input as one row of ``_shrink_rows``, which always returns a new array.
 
 ``run_dp_ftrl_logistic_seeds`` runs several seeds in lockstep: one round
 loop over a leading seed axis, whose per-round numpy calls serve every
@@ -58,8 +59,19 @@ _ORACLE_MAX_ITER = 200_000
 
 
 def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
-    """Each row of the (k, d) block v, rescaled to Euclidean norm r when its
-    norm is more than r; always a new array.
+    """``_shrink_rows_in_place`` on a copy of v: always a new array."""
+    out = v.copy()
+    _shrink_rows_in_place(out, r, np.empty((v.shape[0], 1)))
+    return out
+
+
+# 0-d arrays: numpy applies them faster than Python floats of equal value
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+
+
+def _shrink_rows_in_place(v: np.ndarray, r, scale: np.ndarray) -> None:
+    """Rescale each row of the (k, d) block v, in place, to Euclidean norm
+    r when its norm is more than r, with the (k, 1) buffer ``scale``.
 
     The norm is sqrt(v . v), the value ``np.linalg.norm`` gives on vectors,
     at less cost per call: ``np.vecdot`` makes one ddot per row, and
@@ -71,16 +83,21 @@ def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
     ``np.errstate(over="ignore", divide="ignore")``: a square may
     overflow, and a zero norm gives r / 0 = inf.
     """
-    sq = np.vecdot(v, v)
-    out = v * np.minimum(r / np.sqrt(sq), 1.0)[:, None]
-    if math.inf in sq.tolist():
-        over = sq == math.inf
+    np.vecdot(v, v, out=scale, keepdims=True)
+    over = None
+    if math.inf in scale.ravel().tolist():
+        over = scale[:, 0] == math.inf
         u = v[over]
         e = np.frexp(np.abs(u).max(axis=1))[1][:, None]
         w = np.ldexp(u, -e)
         norm = np.sqrt(np.vecdot(w, w))[:, None]
-        out[over] = np.where(norm <= np.ldexp(r, -e), u, (w / norm) * r)
-    return out
+        shrunk = np.where(norm <= np.ldexp(r, -e), u, (w / norm) * r)
+    np.sqrt(scale, out=scale)
+    np.divide(r, scale, out=scale)
+    np.minimum(scale, _ONE, out=scale)
+    np.multiply(v, scale, out=v)
+    if over is not None:
+        v[over] = shrunk
 
 
 def clip(g, kappa: float) -> np.ndarray:
@@ -249,8 +266,11 @@ class LogisticTask:
         return (weights @ self.xs) / self.n
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z, out=None):
+    """0.5 (1 + tanh(0.5 z)), elementwise; written into ``out`` when it is
+    given (``out`` may be z)."""
+    s = np.tanh(np.multiply(z, _HALF, out=out), out=out)
+    return np.multiply(np.add(s, _ONE, out=out), _HALF, out=out)
 
 
 def logistic_task(n: int, d: int, seed: int, flip_prob: float = 0.25) -> LogisticTask:
@@ -300,10 +320,7 @@ def _avg_grads(xs: np.ndarray, neg_ys: np.ndarray, points: np.ndarray) -> np.nda
     """
     z = np.matmul(xs[:, None], points[..., None])[..., 0]
     z *= neg_ys[:, None]  # the negated margins
-    z *= 0.5
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5  # _sigmoid of the negated margins
+    _sigmoid(z, out=z)
     z *= neg_ys[:, None]
     return np.matmul(z[..., None, :], xs[:, None])[..., 0, :] / xs.shape[1]
 
@@ -383,21 +400,36 @@ def _stack_seeds(tasks, budget, seeds, kappa, radius):
 def _lockstep_rounds(tasks, budget, seeds, kappa, radius):
     """The seeds' round loop: the stacked (k, n, d) streams xs and (k, n)
     labels ys, and each seed's total loss.  The noise, which only the loop
-    reads, is dropped on return, before the oracle allocates its arrays."""
+    reads, is dropped on return, before the oracle allocates its arrays.
+
+    Each round writes into buffers allocated once.  It keeps the negated
+    margins, computed as (-y) x.theta, which is exactly -(y x.theta); the
+    gradient weight -(y sigmoid(-margin)) is (-y) sigmoid(-margin), and
+    the iterate -(s_t) / lam is s_t / (-lam), so every byte is that of
+    ``point_loss_grad`` and ``step_gradient``."""
     xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius)
     k, n, d = xs.shape
-    margins = np.empty((n, k))
-    grad_prefix = np.zeros((k, d))
-    theta = np.zeros((k, d))
-    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
-        for t, (z, margin) in enumerate(zip(noise, margins)):
-            x, y = xs[:, t], ys[:, t]
-            np.multiply(y, np.vecdot(x, theta), out=margin)
-            grad_prefix += _shrink_rows(-(y * _sigmoid(-margin))[:, None] * x, kappa)
-            theta = _shrink_rows(-(grad_prefix + z) / lam, radius)
+    neg_ys = np.negative(ys.T, order="C")  # round-major
+    neg_margins = np.empty((n, k))
+    weight, scale = np.empty((k, 1)), np.empty((k, 1))
+    w = weight[:, 0]  # the weight column as a (k,) row
+    grad, grad_prefix, theta = np.empty((k, d)), np.zeros((k, d)), np.zeros((k, d))
+    kappa, radius, neg_lam = (np.array(float(v)) for v in (kappa, radius, -lam))
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows_in_place
+        for x, neg_y, neg_margin, z in zip(xs.transpose(1, 0, 2), neg_ys, neg_margins, noise):
+            np.vecdot(x, theta, out=neg_margin)
+            np.multiply(neg_margin, neg_y, out=neg_margin)
+            _sigmoid(neg_margin, out=w)
+            np.multiply(w, neg_y, out=w)  # (-y) _sigmoid(-margin)
+            np.multiply(weight, x, out=grad)
+            _shrink_rows_in_place(grad, kappa, scale)
+            np.add(grad_prefix, grad, out=grad_prefix)
+            np.add(grad_prefix, z, out=theta)
+            np.divide(theta, neg_lam, out=theta)
+            _shrink_rows_in_place(theta, radius, scale)
     # the running total of each seed's losses, one round at a time (a sum
     # down the column would be pairwise when there is one seed)
-    return xs, ys, np.cumsum(np.logaddexp(0.0, -margins), axis=0)[-1]
+    return xs, ys, np.cumsum(np.logaddexp(0.0, neg_margins), axis=0)[-1]
 
 
 def run_dp_ftrl_logistic_seeds(
@@ -413,9 +445,9 @@ def run_dp_ftrl_logistic_seeds(
     ``tasks`` yields one task per seed, all of one shape (n, d); a generator
     of tasks is never held whole.  Each round makes the operations of one
     ``LogisticTask.point_loss_grad`` and one ``DpFtrlLearner.step_gradient``
-    per seed, elementwise on (k, d) blocks, with ``_shrink_rows`` for the
-    clip and the projection.  The losses are summed after the loop, and
-    the post-hoc optima come from ``_minimize_logistic_in_balls``.
+    per seed, elementwise on (k, d) blocks, with ``_shrink_rows_in_place``
+    for the clip and the projection.  The losses are summed after the loop,
+    and the post-hoc optima come from ``_minimize_logistic_in_balls``.
     """
     xs, ys, incurred = _lockstep_rounds(tasks, budget, seeds, kappa, radius)
     _, n, d = xs.shape

@@ -53,12 +53,18 @@ PINV_RTOL = 1e-12
 # reciprocals overflow float64.
 PINV_ATOL = 1.0 / np.finfo(np.float64).max
 
-# Largest n that ``toeplitz_lower_matvec`` convolves directly.  Medians per
-# row of a 20-row block on the 2-vCPU Xeon, direct against FFT: 18.7 / 22.3
-# us at n = 256, 45.8 / 26.4 at 512, 148.5 / 45.7 at 1024.  A one-row call
-# also transforms the coefficients, which moves its crossover up to about
-# 512 (37 / 36 us there).
+# Largest n that ``toeplitz_lower_matvec`` convolves directly.  Medians of
+# a one-row call on the 2-vCPU Xeon, direct against FFT: 14.9 / 19.4 us at
+# n = 384, 25.5 / 21.6 at 512, 53.1 / 27.9 at 768.  Per row of a 20-row
+# block, whose batched FFT calls serve every row, the FFT is ahead from
+# n = 16 on: 1.4 / 0.8 us there, 7.9 / 2.9 at 256, 21.4 / 5.2 at 512.  The
+# threshold stays where one-row calls cross, since moving it would change
+# the output bytes of every n in between.
 TOEPLITZ_DIRECT_MAX = 512
+
+# Spectrum values in one batch of rows of an FFT-path block (1 MB of
+# complex128): a batch is one rfft, one multiply and one irfft call.
+_FFT_BATCH_VALUES = 2**16
 
 
 def as_matrix(values) -> np.ndarray:
@@ -171,13 +177,18 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     of the convolution of ``coeffs`` with ``x``.  Direct convolution is used
     up to ``TOEPLITZ_DIRECT_MAX`` entries; beyond that a real FFT whose
     length is the smallest 2^k, 3 * 2^(k-2) or 5 * 2^(k-3) that holds all
-    2n - 1 terms.  The coefficient spectrum is computed once per call; each
-    row gets its own 1-D FFT, multiplied in as coefficient spectrum times
-    row spectrum.  So a row's result is the same in any block (a 2-D FFT
-    over the block rounds differently) and the same as a one-row call's
-    (the product in the other order rounds differently).  The result is
-    written to ``out``, a float64 array of ``x``'s shape (``x`` itself is
-    allowed), or to a new array.
+    2n - 1 terms.  The coefficient spectrum is computed once per call.  A
+    block's rows are transformed in batches of about ``_FFT_BATCH_VALUES``
+    spectrum values, one ``rfft`` and one ``irfft`` along the last axis
+    each, which numpy computes row by row as it computes a 1-D transform;
+    the row spectra are multiplied in place as coefficient spectrum times
+    row spectrum (the product in the other order rounds differently).  So a
+    row's result is the same in any block and the same as a one-row call's.
+    That rests on how numpy implements multi-row transforms (checked under
+    numpy 2.4.6), not on a documented guarantee; only
+    ``test_toeplitz_block_rows_equal_one_row_products`` guards it.
+    The result is written to ``out``, a float64 array of ``x``'s shape
+    (``x`` itself is allowed), or to a new array.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     v = np.asarray(x, dtype=np.float64)
@@ -200,17 +211,19 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     p = 1 << (2 * n - 2).bit_length()
     size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
     spectrum = np.fft.rfft(c, size)
-    row_spectrum = np.empty_like(spectrum)
-    for i, (row, y) in enumerate(zip(rows, ys)):
-        np.fft.rfft(row, size, out=row_spectrum)
-        if i < len(rows) - 1:
-            np.multiply(spectrum, row_spectrum, out=row_spectrum)
-        else:
-            # no later row needs the coefficient spectrum: the product takes
-            # its place and the row buffer is freed, so a one-row call holds
-            # two spectra through the inverse FFT, not three
-            row_spectrum = np.multiply(spectrum, row_spectrum, out=spectrum)
-        y[...] = np.fft.irfft(row_spectrum, size)[:n]
+    if len(rows) == 1:
+        # the product takes the coefficient spectrum's place and the row's
+        # is freed, so a one-row call holds two spectra through the inverse
+        # FFT, not three
+        product = np.multiply(spectrum, np.fft.rfft(rows[0], size), out=spectrum)
+        ys[0] = np.fft.irfft(product, size)[:n]
+        return out
+    batch = max(1, _FFT_BATCH_VALUES // spectrum.size)
+    for start in range(0, len(rows), batch):
+        stop = start + batch
+        batch_spectrum = np.fft.rfft(rows[start:stop], size, axis=-1)
+        np.multiply(spectrum, batch_spectrum, out=batch_spectrum)
+        ys[start:stop] = np.fft.irfft(batch_spectrum, size, axis=-1)[:, :n]
     return out
 
 

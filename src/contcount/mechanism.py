@@ -29,11 +29,11 @@ PCG64 differently.  The trials are mapped in blocks of at most
 ``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
 loop of one ``release`` per trial: each row goes through the same 1-D
 operations.  So a square-root block is one ``toeplitz_lower_matvec``
-call, which computes one coefficient spectrum per block but gives each row
-its own 1-D FFT (a 2-D FFT over the block rounds differently), dense
-blocks use a stacked ``matmul``, one matrix-vector product per row (a
-matrix-matrix product rounds differently), and every sum runs along a row
-(numpy sums a row pairwise, but sums down a column one element at a time).
+call, which computes one coefficient spectrum per block and transforms the
+rows in batches, each row as a 1-D FFT would, dense blocks use a stacked
+``matmul``, one matrix-vector product per row (a matrix-matrix product
+rounds differently), and every sum runs along a row (numpy sums a row
+pairwise, but sums down a column one element at a time).
 """
 
 from __future__ import annotations

@@ -405,6 +405,28 @@ def test_lockstep_noise_off_and_zero_gradients():
     assert run_dp_ftrl_logistic_seeds([task, task], NOISE_OFF, [0, 1]) == [want, want]
 
 
+@pytest.mark.filterwarnings("error")
+def test_lockstep_blocks_where_only_some_rows_overflow(monkeypatch):
+    # with no noise, the seed on all-zero inputs stays at theta = 0 while the
+    # others' iterates near radius 1e300 overflow v . v, so the round's
+    # blocks mix both kinds of row
+    still = LogisticTask(xs=np.zeros((40, 3)), ys=np.ones(40))
+    tasks = [logistic_task(40, 3, 1), still, logistic_task(40, 3, 2)]
+    seeds = [0, 1, 2]
+    want = [_per_seed_run(task, NOISE_OFF, seed, radius=1e300) for task, seed in zip(tasks, seeds)]
+    overflowed = []
+    shrink_rows_in_place = ftrl._shrink_rows_in_place
+
+    def recording(v, r, scale):
+        with np.errstate(over="ignore"):
+            overflowed.append(tuple(np.vecdot(v, v) == math.inf))
+        shrink_rows_in_place(v, r, scale)
+
+    monkeypatch.setattr(ftrl, "_shrink_rows_in_place", recording)
+    assert run_dp_ftrl_logistic_seeds(tasks, NOISE_OFF, seeds, radius=1e300) == want
+    assert (True, False, True) in overflowed
+
+
 def test_lockstep_refusals():
     tasks = [logistic_task(8, 2, 0), logistic_task(8, 3, 1)]
     with pytest.raises(ValueError, match="task 1 has shape"):

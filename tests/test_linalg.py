@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from contcount import linalg
 from contcount.linalg import (
     TOEPLITZ_DIRECT_MAX,
     as_matrix,
@@ -183,33 +184,54 @@ def test_toeplitz_fft_path_matches_direct():
         assert np.max(np.abs(fast - direct)) <= 1e-9
 
 
+def _fft_size(n):
+    p = 1 << (2 * n - 2).bit_length()
+    return min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
+
+
 def _one_row_toeplitz(c, x):
     """The one-row product as it was computed before blocks: direct up to
     the threshold, else the coefficient spectrum times the row's."""
     n = len(c)
     if n <= TOEPLITZ_DIRECT_MAX:
         return np.convolve(c, x)[:n]
-    p = 1 << (2 * n - 2).bit_length()
-    size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
+    size = _fft_size(n)
     spectrum = np.fft.rfft(c, size)
     spectrum *= np.fft.rfft(x, size)
     return np.fft.irfft(spectrum, size)[:n]
 
 
-TOEPLITZ_EDGES = [TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097]
+# both ends of the direct-to-FFT switch, FFT lengths of each form (1280 =
+# 5 * 2^8, 2048 = 2^11, 8192 = 2^13, 10240 = 5 * 2^11, 12288 = 3 * 2^12),
+# and lengths of 32768 and more (2^15, 5 * 2^13, 3 * 2^14, 5 * 2^14), from
+# which numpy reuses a temporary spectrum of 256 KB in place for
+# ``spectrum * rfft(row)``, taking the product in the other order
+TOEPLITZ_EDGES = [
+    TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097, 6000, 16384, 16385, 20481, 2**15 + 1
+]
 
 
 @pytest.mark.parametrize("n", TOEPLITZ_EDGES)
 def test_toeplitz_block_rows_equal_one_row_products(n):
+    # numpy does not promise that a multi-row rfft/irfft rounds each row as
+    # a 1-D call does; a numpy version that does not fails here, not
+    # silently (test_pcg64_states_equal_numpy_seeding guards the seeding)
     rng = np.random.default_rng(n)
     c = rng.normal(size=n) / np.arange(1, n + 1)
-    # rows of a transposed array are strided, as the DP-FTRL noise columns are
-    block = rng.normal(size=(n, 4)).T
-    want = np.array([_one_row_toeplitz(c, row) for row in block])
-    assert toeplitz_lower_matvec(c, block).tobytes() == want.tobytes()
-    for row, expected in zip(block, want):
+    # blocks that fill the FFT batches of rows, miss by one row or overrun
+    batch = max(1, linalg._FFT_BATCH_VALUES // (_fft_size(n) // 2 + 1))
+    counts = sorted({2, batch - 1, batch, batch + 1, 2 * batch + 3} - {0, 1})
+    rows = rng.normal(size=(counts[-1], n))
+    want = np.array([_one_row_toeplitz(c, row) for row in rows])
+    for count in counts:
+        # the rows of a Fortran-ordered block are strided, as those of the
+        # transposed DP-FTRL noise are
+        for block in (rows[:count], np.asfortranarray(rows[:count])):
+            assert toeplitz_lower_matvec(c, block).tobytes() == want[:count].tobytes()
+    for row, expected in zip(rows[:3], want):
         assert toeplitz_lower_matvec(c, row).tobytes() == expected.tobytes()
         assert toeplitz_lower_matvec(c, row[None, :]).tobytes() == expected.tobytes()
+    block = np.asfortranarray(rows)
     toeplitz_lower_matvec(c, block, out=block)
     assert block.tobytes() == want.tobytes()
 

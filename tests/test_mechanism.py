@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -135,6 +137,21 @@ def test_streaming_step_accepts_bit_like_values_only():
         assert type(got) is float and type(counter.running_sum) is int
         assert got == reference.step(int(bit))
     assert counter.t == len(bits) and counter.running_sum == 5
+
+
+def test_pickled_and_copied_counters_resume_byte_for_byte():
+    bits = [1, 0, 1, 1, 0, 0, 1, 0] * 8
+    counter = StreamingCounter(len(bits), BUDGET, seed=9)
+    reference = StreamingCounter(len(bits), BUDGET, seed=9)
+    want = np.array([reference.step(bit) for bit in bits])
+    half = len(bits) // 2
+    first = [counter.step(bit) for bit in bits[:half]]
+    for resumed in (pickle.loads(pickle.dumps(counter)), copy.deepcopy(counter), counter):
+        assert resumed.t == half and resumed.noise.tobytes() == counter.noise.tobytes()
+        rest = [resumed.step(bit) for bit in bits[half:]]
+        assert np.array(first + rest).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="horizon"):
+            resumed.step(0)
 
 
 def test_streaming_matches_dense_path():
