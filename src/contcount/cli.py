@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import certificates, mechanism, workload
+from . import certificates, workload
 from .factorization import sqrt_coefficients
 from .ftrl import logistic_task, run_dp_ftrl_logistic_seeds
 from .linalg import format_csv_rows, read_matrix_csv
@@ -201,20 +201,13 @@ def cmd_ftrl(args) -> int:
     budget = PrivacyBudget(args.eps, args.delta)
     # object dtype: seeds at or beyond 2**63 stay exact Python ints, not floats
     seeds = np.array([args.seed + i for i in range(args.seeds_count)], dtype=object)
-    # seeds run in lockstep, in groups whose stacked streams and noise hold
-    # at most _BLOCK_VALUES values each, as a Monte-Carlo block does; each
-    # task is generated as the group's arrays take it in
-    group = max(1, mechanism._BLOCK_VALUES // (args.n * args.d))
-    reports = []
-    for start in range(0, len(seeds), group):
-        chunk = seeds[start : start + group]
-        reports += run_dp_ftrl_logistic_seeds(
-            (logistic_task(args.n, args.d, seed) for seed in chunk),
-            budget,
-            [seed + _NOISE_SEED_OFFSET for seed in chunk],
-            kappa=args.kappa,
-            radius=args.radius,
-        )
+    reports = run_dp_ftrl_logistic_seeds(
+        (logistic_task(args.n, args.d, seed) for seed in seeds),
+        budget,
+        [seed + _NOISE_SEED_OFFSET for seed in seeds],
+        kappa=args.kappa,
+        radius=args.radius,
+    )
     regret = np.array([report.regret for report in reports])
     bound = np.array([report.bound for report in reports])
     _emit_columns("seed,regret,bound", "%d,%.17g,%.17g\n", [seeds, regret, bound], args.out)

@@ -10,31 +10,27 @@ constant C(eps, delta) times it.  After preprocessing every round costs
 O(d): clip the gradient, add it to the prefix, add the stored noise row
 and take the regularized argmin (a rescaling) projected onto the ball.
 
-Gradient clipping rescales to norm kappa whenever the gradient is longer
-than kappa, so clipped gradients always lie in the radius-kappa ball.
-Clipping and the projection onto the ball are one norm-and-rescale,
-``_shrink_rows_in_place``, on each row of a block: the lockstep rounds
-apply it to their buffers, and ``clip`` and ``project_ball`` read their
-input as one row of ``_shrink_rows``, which always returns a new array.
-
-``run_dp_ftrl_logistic_seeds`` runs several seeds in lockstep: one round
-loop over a leading seed axis, whose per-round numpy calls serve every
-seed at once, and then one loop of the post-hoc oracle for all seeds,
-from which each seed leaves at its own stopping iteration.  Each seed's
-report is byte for byte that of its own ``run_dp_ftrl_logistic``, and of
-a loop of ``DpFtrlLearner.step_gradient`` calls and one
-``minimize_logistic_in_ball``, because every operation acts on each
-seed's row alone.
+A round is written once, ``_ftrl_step`` on (k, d) blocks of k learners,
+with one norm-and-rescale, ``_shrink_rows_in_place``, for the clip and the
+projection (``clip`` and ``project_ball`` run it on a copy of one row).
+``DpFtrlLearner.step_gradient`` runs the round with k = 1, and
+``run_dp_ftrl_logistic_seeds`` with a row per seed, so each round's numpy
+calls serve every seed; its post-hoc oracle serves them all too, and each
+seed leaves it at its own stopping iteration.  Every operation acts on each
+seed's row alone, so each report is byte for byte that of the seed's own
+``run_dp_ftrl_logistic``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mechanism
 from .mechanism import PrivacyBudget, _generator, _normals, _sqrt_noise
 from .workload import _check_int, _upper_log_factor
 
@@ -98,6 +94,18 @@ def _shrink_rows_in_place(v: np.ndarray, r, scale: np.ndarray) -> None:
     np.multiply(v, scale, out=v)
     if over is not None:
         v[over] = shrunk
+
+
+def _ftrl_step(grad, grad_prefix, z, theta, kappa, radius, neg_lam, scale) -> None:
+    """One round of k learners, in place on (k, d) blocks: clip each row of
+    ``grad`` to kappa and add it to ``grad_prefix``; set ``theta`` to
+    (prefix + z) / (-lam), which is exactly -(prefix + z) / lam, projected
+    onto the ball.  Errstate and ``scale``: as ``_shrink_rows_in_place``."""
+    _shrink_rows_in_place(grad, kappa, scale)
+    np.add(grad_prefix, grad, out=grad_prefix)
+    np.add(grad_prefix, z, out=theta)
+    np.divide(theta, neg_lam, out=theta)
+    _shrink_rows_in_place(theta, radius, scale)
 
 
 def clip(g, kappa: float) -> np.ndarray:
@@ -205,16 +213,19 @@ class DpFtrlLearner:
             raise ValueError(f"iterate -s_t / lambda can overflow float64 at kappa={kappa}, radius={radius}")
 
     def step_gradient(self, g) -> np.ndarray:
-        """Consume the round-t gradient (evaluated at the current iterate)
-        and return the next iterate."""
+        """Consume the round-t gradient g (evaluated at the current iterate),
+        which is not written to, and return the next iterate, a new array."""
         if self.t >= self.n:
             raise ValueError(f"horizon {self.n} exceeded")
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.d,):
-            raise ValueError(f"gradient has shape {g.shape}, expected ({self.d},)")
-        self.grad_prefix += clip(g, self.kappa)
-        s_t = self.grad_prefix + self.noise[self.t]
-        self.theta = project_ball(-s_t / self.lam, self.radius)
+        grad = np.array(g, dtype=np.float64)  # a copy: the step clips it in place
+        if grad.shape != (self.d,) or not np.isfinite(grad).all():
+            raise ValueError(f"gradient must be finite of shape ({self.d},), got {grad!r}")
+        self.theta = np.empty(self.d)
+        with np.errstate(over="ignore", divide="ignore"):  # for _ftrl_step
+            _ftrl_step(
+                grad[None], self.grad_prefix[None], self.noise[self.t], self.theta[None],
+                self.kappa, self.radius, -self.lam, np.empty((1, 1)),
+            )
         self.t += 1
         return self.theta
 
@@ -232,11 +243,23 @@ class RegretReport:
 
 @dataclass(frozen=True)
 class LogisticTask:
-    """A stream of (x, y) pairs with ||x||_2 <= 1, y in {-1, +1}, under the
-    1-Lipschitz logistic loss ln(1 + exp(-y <theta, x>))."""
+    """A stream of (x, y) pairs with ||x||_2 <= 1 (to 1e-12), y in {-1, +1},
+    under the 1-Lipschitz logistic loss ln(1 + exp(-y <theta, x>)); the
+    regret bound and the oracle's step rest on it, so nothing else is taken."""
 
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        if xs.ndim != 2 or 0 in xs.shape:
+            raise ValueError(f"xs must be 2-D with n, d >= 1, got shape {xs.shape}")
+        if ys.shape != xs.shape[:1] or not (np.abs(ys) == 1).all():  # also refuses nan
+            raise ValueError(f"ys must be {xs.shape[0]} labels -1 or +1, got shape {ys.shape}")
+        with np.errstate(over="ignore"):  # a square past float64 is a norm above 1
+            norms = np.sqrt(np.vecdot(xs, xs))
+        if not (norms <= 1 + 1e-12).all():  # also refuses nan and inf entries
+            raise ValueError(f"xs rows must be finite, of norm at most 1, got norm {norms.max()}")
 
     @property
     def n(self) -> int:
@@ -246,24 +269,9 @@ class LogisticTask:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    def point_loss_grad(self, theta, i: int) -> tuple[float, np.ndarray]:
-        """Loss and gradient at theta on example i, from one margin."""
-        margin = self.ys[i] * float(self.xs[i] @ theta)
-        # d/dtheta ln(1 + e^(-m)) = -sigmoid(-m) * y * x
-        grad = -(self.ys[i] * _sigmoid(-margin)) * self.xs[i]
-        return float(np.logaddexp(0.0, -margin)), grad
-
-    def point_grad(self, theta, i: int) -> np.ndarray:
-        return self.point_loss_grad(theta, i)[1]
-
     def avg_loss(self, theta) -> float:
         margins = self.ys * (self.xs @ theta)
         return float(np.mean(np.logaddexp(0.0, -margins)))
-
-    def avg_grad(self, theta) -> np.ndarray:
-        margins = self.ys * (self.xs @ theta)
-        weights = -self.ys * _sigmoid(-margins)
-        return (weights @ self.xs) / self.n
 
 
 def _sigmoid(z, out=None):
@@ -308,9 +316,9 @@ def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
 
 
 def _avg_grads(xs: np.ndarray, neg_ys: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``LogisticTask.avg_grad`` of task j at each of the points[j], byte
-    for byte, for the (k, n, d) inputs xs and negated (k, n) labels neg_ys
-    of k tasks and (k, m, d) points.
+    """The gradient of task j's average logistic loss at each of points[j],
+    byte for byte (-y sigmoid(-y xs @ theta)) @ xs / n, for the (k, n, d)
+    inputs xs, negated (k, n) labels neg_ys and (k, m, d) points of k tasks.
 
     The stacked ``matmul`` makes one matrix-vector product per task and
     point, the products ``xs @ theta`` and ``weights @ xs`` make.  The
@@ -377,59 +385,58 @@ def run_dp_ftrl_logistic(
     return run_dp_ftrl_logistic_seeds([task], budget, [seed], kappa, radius)[0]
 
 
-def _stack_seeds(tasks, budget, seeds, kappa, radius):
+def _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start):
     """Seed-major xs (k, n, d) and ys (k, n), round-major noise (n, k, d),
-    and lambda (one float: it is the same for every seed), of the k tasks
-    and of each seed's ``DpFtrlLearner``.  Each task and learner is copied
-    in as it comes and then dropped, so neither is held twice."""
-    k = len(seeds)
-    if k == 0:
-        raise ValueError("need at least one seed")
-    for j, (task, seed) in enumerate(zip(tasks, seeds, strict=True)):
-        if j == 0:
-            n, d = task.n, task.d
-            xs, noise = np.empty((k, n, d)), np.empty((n, k, d))
-            ys = np.empty((k, n))
-        if task.xs.shape != (n, d):
-            raise ValueError(f"task {j} has shape {task.xs.shape}, task 0 has {(n, d)}")
+    and lambda (one float: it is the same for every seed), of the next k
+    tasks, tasks start, start + 1, ... of a run whose task 0 has the shape
+    (n, d), and of each seed's ``DpFtrlLearner``.  Each task and learner is
+    copied in as it comes and then dropped, so neither is held twice."""
+    k, (n, d) = len(seeds), shape
+    xs, ys, noise = np.empty((k, n, d)), np.empty((k, n)), np.empty((n, k, d))
+    for j, (task, seed) in enumerate(zip(itertools.islice(tasks, k), seeds, strict=True)):
+        if task.xs.shape != shape:
+            raise ValueError(f"task {start + j} has shape {task.xs.shape}, task 0 has {shape}")
         learner = DpFtrlLearner(n, d, budget, seed, kappa=kappa, radius=radius)
         xs[j], ys[j], noise[:, j], lam = task.xs, task.ys, learner.noise, learner.lam
     return xs, ys, noise, lam
 
 
-def _lockstep_rounds(tasks, budget, seeds, kappa, radius):
-    """The seeds' round loop: the stacked (k, n, d) streams xs and (k, n)
-    labels ys, and each seed's total loss.  The noise, which only the loop
-    reads, is dropped on return, before the oracle allocates its arrays.
+def _lockstep_rounds(tasks, budget, seeds, kappa, radius, shape, start) -> list[RegretReport]:
+    """The reports of one group of seeds (``_stack_seeds``): the round loop,
+    then the post-hoc optima of ``_minimize_logistic_in_balls``, after the
+    noise, which only the loop reads, is dropped.
 
-    Each round writes into buffers allocated once.  It keeps the negated
-    margins, computed as (-y) x.theta, which is exactly -(y x.theta); the
-    gradient weight -(y sigmoid(-margin)) is (-y) sigmoid(-margin), and
-    the iterate -(s_t) / lam is s_t / (-lam), so every byte is that of
-    ``point_loss_grad`` and ``step_gradient``."""
-    xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius)
+    Each round writes into buffers allocated once: the gradients at every
+    seed's iterate, then one ``_ftrl_step``.  The negated margins are
+    computed as (-y) x.theta, which is exactly -(y x.theta), and the
+    gradient weight -(y sigmoid(-margin)) as (-y) sigmoid(-margin)."""
+    xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start)
     k, n, d = xs.shape
+    bound = regret_bound(n, kappa, d, budget, radius)
     neg_ys = np.negative(ys.T, order="C")  # round-major
     neg_margins = np.empty((n, k))
     weight, scale = np.empty((k, 1)), np.empty((k, 1))
     w = weight[:, 0]  # the weight column as a (k,) row
     grad, grad_prefix, theta = np.empty((k, d)), np.zeros((k, d)), np.zeros((k, d))
-    kappa, radius, neg_lam = (np.array(float(v)) for v in (kappa, radius, -lam))
-    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows_in_place
+    # kappa, radius and -lam as 0-d arrays, which numpy applies faster than floats
+    constants = [np.array(float(v)) for v in (kappa, radius, -lam)]
+    with np.errstate(over="ignore", divide="ignore"):  # for _ftrl_step
         for x, neg_y, neg_margin, z in zip(xs.transpose(1, 0, 2), neg_ys, neg_margins, noise):
             np.vecdot(x, theta, out=neg_margin)
             np.multiply(neg_margin, neg_y, out=neg_margin)
             _sigmoid(neg_margin, out=w)
             np.multiply(w, neg_y, out=w)  # (-y) _sigmoid(-margin)
             np.multiply(weight, x, out=grad)
-            _shrink_rows_in_place(grad, kappa, scale)
-            np.add(grad_prefix, grad, out=grad_prefix)
-            np.add(grad_prefix, z, out=theta)
-            np.divide(theta, neg_lam, out=theta)
-            _shrink_rows_in_place(theta, radius, scale)
+            _ftrl_step(grad, grad_prefix, z, theta, *constants, scale)
     # the running total of each seed's losses, one round at a time (a sum
     # down the column would be pairwise when there is one seed)
-    return xs, ys, np.cumsum(np.logaddexp(0.0, neg_margins), axis=0)[-1]
+    incurred = np.cumsum(np.logaddexp(0.0, neg_margins), axis=0)[-1]
+    del noise, neg_ys, neg_margins, z, neg_y, neg_margin  # with the loop's row views
+    optima = _minimize_logistic_in_balls(xs, ys, radius)
+    return [
+        RegretReport(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(opt), bound)
+        for loss, x, y, opt in zip(incurred, xs, ys, optima)
+    ]
 
 
 def run_dp_ftrl_logistic_seeds(
@@ -440,20 +447,24 @@ def run_dp_ftrl_logistic_seeds(
     radius: float = 1.0,
 ) -> list[RegretReport]:
     """``run_dp_ftrl_logistic`` on each task with its noise seed, byte for
-    byte, in one round loop over a leading seed axis.
+    byte, with the seeds in lockstep.
 
     ``tasks`` yields one task per seed, all of one shape (n, d); a generator
-    of tasks is never held whole.  Each round makes the operations of one
-    ``LogisticTask.point_loss_grad`` and one ``DpFtrlLearner.step_gradient``
-    per seed, elementwise on (k, d) blocks, with ``_shrink_rows_in_place``
-    for the clip and the projection.  The losses are summed after the loop,
-    and the post-hoc optima come from ``_minimize_logistic_in_balls``.
+    of tasks is never held whole.  Each ``_lockstep_rounds`` call runs a
+    group of max(1, ``mechanism._BLOCK_VALUES`` // (n d)) seeds, whose
+    stacked streams and noise hold at most 2^18 values, as a Monte-Carlo
+    block does: memory does not grow with the number of seeds.
     """
-    xs, ys, incurred = _lockstep_rounds(tasks, budget, seeds, kappa, radius)
-    _, n, d = xs.shape
-    optima = _minimize_logistic_in_balls(xs, ys, radius)
-    bound = regret_bound(n, kappa, d, budget, radius)
-    return [
-        RegretReport(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(theta), bound)
-        for loss, x, y, theta in zip(incurred, xs, ys, optima)
-    ]
+    tasks = iter(tasks)
+    first = next(tasks, None)
+    if len(seeds) == 0 or first is None:
+        raise ValueError(f"need at least one seed and a task per seed, got {len(seeds)} seeds")
+    tasks, shape = itertools.chain([first], tasks), first.xs.shape
+    group = max(1, mechanism._BLOCK_VALUES // (first.n * first.d))
+    reports = []
+    for start in range(0, len(seeds), group):
+        part = seeds[start : start + group]
+        reports += _lockstep_rounds(tasks, budget, part, kappa, radius, shape, start)
+    if next(tasks, None) is not None:
+        raise ValueError(f"more tasks than the {len(seeds)} seeds")
+    return reports

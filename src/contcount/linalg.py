@@ -182,8 +182,8 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     spectrum values, one ``rfft`` and one ``irfft`` along the last axis
     each, which numpy computes row by row as it computes a 1-D transform;
     the row spectra are multiplied in place as coefficient spectrum times
-    row spectrum (the product in the other order rounds differently).  So a
-    row's result is the same in any block and the same as a one-row call's.
+    row spectrum (the product in the other order rounds differently), and a
+    1-D ``x`` is a block of one row: a row's result is the same in any block.
     That rests on how numpy implements multi-row transforms (checked under
     numpy 2.4.6), not on a documented guarantee; only
     ``test_toeplitz_block_rows_equal_one_row_products`` guards it.
@@ -211,18 +211,13 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     p = 1 << (2 * n - 2).bit_length()
     size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
     spectrum = np.fft.rfft(c, size)
-    if len(rows) == 1:
-        # the product takes the coefficient spectrum's place and the row's
-        # is freed, so a one-row call holds two spectra through the inverse
-        # FFT, not three
-        product = np.multiply(spectrum, np.fft.rfft(rows[0], size), out=spectrum)
-        ys[0] = np.fft.irfft(product, size)[:n]
-        return out
     batch = max(1, _FFT_BATCH_VALUES // spectrum.size)
     for start in range(0, len(rows), batch):
         stop = start + batch
         batch_spectrum = np.fft.rfft(rows[start:stop], size, axis=-1)
         np.multiply(spectrum, batch_spectrum, out=batch_spectrum)
+        if stop >= len(rows):  # a one-row call then holds two spectra, not three
+            del spectrum
         ys[start:stop] = np.fft.irfft(batch_spectrum, size, axis=-1)[:, :n]
     return out
 

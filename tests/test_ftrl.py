@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contcount import cli, ftrl, mechanism
+from contcount import ftrl, mechanism
 from contcount.cli import main
 from contcount.ftrl import (
     DpFtrlLearner,
@@ -26,6 +26,7 @@ from contcount.factorization import sqrt_coefficients
 from contcount.linalg import lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import PrivacyBudget
 from contcount.workload import counting_matrix
+from ftrl_oracles import ReferenceLearner, avg_grad, point_grad, point_loss_grad
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 NOISE_OFF = PrivacyBudget(math.inf, 1e-6)
@@ -147,7 +148,7 @@ def test_iterates_past_the_float64_square_stay_in_ball():
     task = logistic_task(8, 2, seed=0)
     learner = DpFtrlLearner(8, 2, BUDGET, seed=1, radius=1e300)
     for i in range(task.n):
-        theta = learner.step_gradient(task.point_grad(learner.theta, i))
+        theta = learner.step_gradient(point_grad(task, learner.theta, i))
         assert np.all(np.isfinite(theta))
         assert np.linalg.norm(theta / 1e300) <= 1 + 1e-12
     report = run_dp_ftrl_logistic(task, BUDGET, 1, radius=1e300)
@@ -180,9 +181,9 @@ def test_noise_off_equals_classical_ftrl():
     prefix = np.zeros(4)
     for i in range(256):
         assert np.max(np.abs(learner.theta - theta_ref)) <= 1e-12
-        grad = task.point_grad(learner.theta, i)
+        grad = point_grad(task, learner.theta, i)
         learner.step_gradient(grad)
-        ref_grad = task.point_grad(theta_ref, i)
+        ref_grad = point_grad(task, theta_ref, i)
         norm = np.linalg.norm(ref_grad)
         if norm > 1.0:
             ref_grad = ref_grad / norm
@@ -197,7 +198,7 @@ def test_learner_deterministic():
         learner = DpFtrlLearner(64, 3, BUDGET, seed=seed)
         out = []
         for i in range(64):
-            out.append(learner.step_gradient(task.point_grad(learner.theta, i)).copy())
+            out.append(learner.step_gradient(point_grad(task, learner.theta, i)).copy())
         return np.array(out)
 
     assert np.array_equal(run(11), run(11))
@@ -209,7 +210,7 @@ def test_iterates_stay_in_ball_and_clipped():
     learner = DpFtrlLearner(128, 3, BUDGET, seed=21, kappa=kappa, radius=radius)
     task = logistic_task(128, 3, seed=22)
     for i in range(128):
-        g = task.point_grad(learner.theta, i)
+        g = point_grad(task, learner.theta, i)
         assert np.linalg.norm(clip(g, kappa)) <= kappa * (1 + 1e-12)
         theta = learner.step_gradient(g)
         assert np.linalg.norm(theta) <= radius * (1 + 1e-12)
@@ -257,6 +258,40 @@ def test_logistic_task_shapes_and_norms():
     assert set(np.unique(task.ys)) <= {-1.0, 1.0}
 
 
+@pytest.mark.filterwarnings("error")
+def test_logistic_task_refuses_malformed_streams():
+    task = logistic_task(8, 2, seed=0)
+    xs, ys = task.xs, task.ys
+    nan_xs, inf_xs = xs.copy(), xs.copy()
+    nan_xs[3, 1], inf_xs[0, 0] = math.nan, -math.inf
+    wrong_labels = [np.where(np.arange(8) == 5, value, ys) for value in (0.0, 2.0, -0.5, math.nan, math.inf)]
+    long_row = np.vstack([xs[:7], [[1.0, 2e-6]]])  # norm 1 + 2e-12
+    huge_row = np.vstack([xs[:7], [[1e200, 1e200]]])  # its square overflows float64
+    cases = [
+        (xs[0], ys, "xs must be 2-D"),
+        (xs[None], ys, "xs must be 2-D"),
+        (xs[:0], ys[:0], "xs must be 2-D"),
+        (xs[:, :0], ys, "xs must be 2-D"),
+        (xs, ys[:1], "ys must be 8 labels -1 or \\+1"),  # (1,) would broadcast to every round
+        (xs, np.float64(1.0), "ys must be 8 labels -1 or \\+1"),
+        (xs, ys[:, None], "ys must be 8 labels -1 or \\+1"),
+        (xs, ys[:7], "ys must be 8 labels -1 or \\+1"),
+        (nan_xs, ys, "xs rows must be finite"),
+        (inf_xs, ys, "xs rows must be finite"),
+        *((xs, y, "ys must be 8 labels -1 or \\+1") for y in wrong_labels),
+        (xs * 5.0, ys, "of norm at most 1"),
+        (long_row, ys, "of norm at most 1"),
+        (huge_row, ys, "of norm at most 1"),
+    ]
+    for bad_xs, bad_ys, message in cases:
+        with pytest.raises(ValueError, match=message):
+            LogisticTask(xs=bad_xs, ys=bad_ys)
+    # rows on the sphere, up to rounding, are kept
+    on_sphere = xs / np.linalg.norm(xs, axis=1, keepdims=True) * (1 + 5e-13)
+    assert LogisticTask(xs=on_sphere, ys=ys).n == 8
+    assert LogisticTask(xs=np.zeros((1, 1)), ys=np.array([-1.0])).d == 1
+
+
 def test_separable_task_low_oracle_loss():
     task = logistic_task(600, 4, seed=3, flip_prob=0.0)
     opt = minimize_logistic_in_ball(task, radius=25.0)
@@ -276,7 +311,7 @@ def test_oracle_stationarity():
     radius = 1.0
     opt = minimize_logistic_in_ball(task, radius)
     step = 4.0
-    mapped = (opt - project_ball(opt - step * task.avg_grad(opt), radius)) / step
+    mapped = (opt - project_ball(opt - step * avg_grad(task, opt), radius)) / step
     assert np.linalg.norm(mapped) <= 1e-8
 
 
@@ -314,7 +349,7 @@ def test_multi_seed_regret_under_bound_quick():
 def _reference_regret(task, budget, seed):
     """``run_dp_ftrl_logistic`` as a loop that takes the loss and the
     gradient of each round from two separate margins."""
-    learner = DpFtrlLearner(task.n, task.d, budget, seed)
+    learner = ReferenceLearner(task.n, task.d, budget, seed)
     incurred = 0.0
     for i in range(task.n):
         x, y = task.xs[i], task.ys[i]
@@ -348,16 +383,16 @@ def test_run_matches_two_margin_loop(n, d):
 
 def _per_seed_minimize(task, radius):
     """``minimize_logistic_in_ball`` as it ran before tasks ran in lockstep:
-    one task, two ``avg_grad`` calls per iteration.  It looks up
+    one task, two ``avg_grad`` oracle calls per iteration.  It looks up
     ``ftrl.project_ball`` at each call, so a test can patch the norm."""
     step = 4.0
     theta = np.zeros(task.d)
     momentum = theta.copy()
     t_acc = 1.0
     for _ in range(ftrl._ORACLE_MAX_ITER):
-        grad = task.avg_grad(momentum)
+        grad = avg_grad(task, momentum)
         nxt = ftrl.project_ball(momentum - step * grad, radius)
-        grad_at_theta = task.avg_grad(theta)
+        grad_at_theta = avg_grad(task, theta)
         mapped = (theta - ftrl.project_ball(theta - step * grad_at_theta, radius)) / step
         if np.linalg.norm(mapped) <= ftrl._ORACLE_TOL:
             return theta
@@ -370,12 +405,12 @@ def _per_seed_minimize(task, radius):
 
 def _per_seed_run(task, budget, seed, kappa=1.0, radius=1.0):
     """``run_dp_ftrl_logistic`` as it ran before seeds ran in lockstep: one
-    ``point_loss_grad`` and one ``DpFtrlLearner.step_gradient`` per round,
-    a running loss total and ``_per_seed_minimize``."""
-    learner = DpFtrlLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
+    ``point_loss_grad`` and one ``ReferenceLearner.step_gradient`` per
+    round, a running loss total and ``_per_seed_minimize``."""
+    learner = ReferenceLearner(task.n, task.d, budget, seed, kappa=kappa, radius=radius)
     incurred = 0.0
     for i in range(task.n):
-        loss, grad = task.point_loss_grad(learner.theta, i)
+        loss, grad = point_loss_grad(task, learner.theta, i)
         incurred += loss
         learner.step_gradient(grad)
     theta_opt = _per_seed_minimize(task, radius)
@@ -383,19 +418,50 @@ def _per_seed_run(task, budget, seed, kappa=1.0, radius=1.0):
     return RegretReport(incurred / task.n, task.avg_loss(theta_opt), bound)
 
 
+# 513 and 600 draw their noise by FFT; iterates near 1e300 overflow v . v
+ROUND_CASES = [(1, 1, 1.0, 1.0), (40, 3, 0.3, 0.5), (513, 2, 1.0, 1.0), (600, 2, 1.0, 1e300), (64, 4, 2.0, 1e300)]
+ROUND_SEEDS = [7, 2**40 + 1, 2**70]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "n, d, kappa, radius",
-    # 513 and 600 draw their noise by FFT; iterates near 1e300 overflow v . v
-    [(1, 1, 1.0, 1.0), (40, 3, 0.3, 0.5), (513, 2, 1.0, 1.0), (600, 2, 1.0, 1e300), (64, 4, 2.0, 1e300)],
-)
+@pytest.mark.parametrize("n, d, kappa, radius", ROUND_CASES)
 def test_seeds_in_lockstep_equal_per_seed_runs(n, d, kappa, radius):
-    seeds = [7, 2**40 + 1, 2**70]
-    tasks = [logistic_task(n, d, seed) for seed in seeds]
-    want = [_per_seed_run(task, BUDGET, seed, kappa, radius) for task, seed in zip(tasks, seeds)]
-    assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, seeds, kappa, radius) == want
-    assert run_dp_ftrl_logistic_seeds(iter(tasks), BUDGET, seeds, kappa, radius) == want
-    assert [run_dp_ftrl_logistic(t, BUDGET, s, kappa, radius) for t, s in zip(tasks, seeds)] == want
+    tasks = [logistic_task(n, d, seed) for seed in ROUND_SEEDS]
+    want = [_per_seed_run(task, BUDGET, seed, kappa, radius) for task, seed in zip(tasks, ROUND_SEEDS)]
+    assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, ROUND_SEEDS, kappa, radius) == want
+    assert run_dp_ftrl_logistic_seeds(iter(tasks), BUDGET, ROUND_SEEDS, kappa, radius) == want
+    assert [run_dp_ftrl_logistic(t, BUDGET, s, kappa, radius) for t, s in zip(tasks, ROUND_SEEDS)] == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, d, kappa, radius", ROUND_CASES)
+def test_learner_iterates_equal_reference_step(n, d, kappa, radius):
+    # the learner's one-row _ftrl_step against clip, += and project_ball
+    for seed in ROUND_SEEDS:
+        task = logistic_task(n, d, seed)
+        learner = DpFtrlLearner(n, d, BUDGET, seed, kappa=kappa, radius=radius)
+        reference = ReferenceLearner(n, d, BUDGET, seed, kappa=kappa, radius=radius)
+        for i in range(n):
+            g = point_grad(task, learner.theta, i)
+            assert learner.step_gradient(g).tobytes() == reference.step_gradient(g).tobytes()
+            assert learner.grad_prefix.tobytes() == reference.grad_prefix.tobytes()
+
+
+def test_step_gradient_writes_to_no_array_of_the_caller():
+    learner = DpFtrlLearner(4, 2, BUDGET, seed=0)
+    g = np.array([3.0, 4.0])  # norm 5: the step clips its copy to norm 1
+    first = learner.step_gradient(g)
+    kept = first.copy()
+    assert g.tolist() == [3.0, 4.0]
+    second = learner.step_gradient(first)
+    assert second is not first and learner.theta is second
+    assert first.tobytes() == kept.tobytes()
+    # a strided view and a list go in as they are
+    block = np.array([[30.0, 0.0], [-40.0, 0.0]])
+    learner.step_gradient(block[:, 0])
+    learner.step_gradient([0.5, 0.5])
+    assert block.tolist() == [[30.0, 0.0], [-40.0, 0.0]]
+    assert first.tobytes() == kept.tobytes()
 
 
 def test_lockstep_noise_off_and_zero_gradients():
@@ -437,6 +503,39 @@ def test_lockstep_refusals():
         run_dp_ftrl_logistic_seeds(tasks[:1], BUDGET, [0, 1])
     with pytest.raises(ValueError):
         run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0])
+
+
+def test_lockstep_groups_draw_tasks_as_they_go_and_refuse_mismatches(monkeypatch):
+    # a cap of three seeds per group of 16 x 2 tasks
+    monkeypatch.setattr(mechanism, "_BLOCK_VALUES", 3 * 16 * 2 + 5)
+    drawn, groups = [], []
+
+    def tasks(count, odd=None):
+        for j in range(count):
+            drawn.append(j)
+            yield logistic_task(16, 3 if j == odd else 2, j)
+
+    seeds = list(range(7))
+    want = [run_dp_ftrl_logistic(logistic_task(16, 2, j), BUDGET, j) for j in seeds]
+    lockstep_rounds = ftrl._lockstep_rounds
+
+    def recording(tasks, budget, seeds, *args):
+        groups.append((len(seeds), len(drawn)))
+        return lockstep_rounds(tasks, budget, seeds, *args)
+
+    monkeypatch.setattr(ftrl, "_lockstep_rounds", recording)
+    assert run_dp_ftrl_logistic_seeds(tasks(7), BUDGET, seeds) == want
+    # each group draws its tasks once it starts: the first one was drawn to size the groups
+    assert groups == [(3, 1), (3, 3), (1, 6)]
+    for count in (1, 4, 6):  # too few tasks, in the first, second and third group
+        with pytest.raises(ValueError):
+            run_dp_ftrl_logistic_seeds(tasks(count), BUDGET, seeds)
+    with pytest.raises(ValueError, match="more tasks than the 7 seeds"):
+        run_dp_ftrl_logistic_seeds(tasks(8), BUDGET, seeds)
+    with pytest.raises(ValueError, match="a task per seed, got 7 seeds"):
+        run_dp_ftrl_logistic_seeds(tasks(0), BUDGET, seeds)
+    with pytest.raises(ValueError, match=r"task 4 has shape \(16, 3\), task 0 has \(16, 2\)"):
+        run_dp_ftrl_logistic_seeds(tasks(7, odd=4), BUDGET, seeds)
 
 
 def _shrink(v, r):
@@ -558,13 +657,13 @@ def test_ftrl_cli_seed_groups(capsys, monkeypatch, count):
     # a cap of three seeds per group: four and seven seeds cross group edges
     monkeypatch.setattr(mechanism, "_BLOCK_VALUES", 3 * 16 * 2 + 5)
     groups = []
-    lockstep = cli.run_dp_ftrl_logistic_seeds
+    lockstep_rounds = ftrl._lockstep_rounds
 
-    def recording(tasks, budget, seeds, **kwargs):
+    def recording(tasks, budget, seeds, *args):
         groups.append(len(seeds))
-        return lockstep(tasks, budget, seeds, **kwargs)
+        return lockstep_rounds(tasks, budget, seeds, *args)
 
-    monkeypatch.setattr(cli, "run_dp_ftrl_logistic_seeds", recording)
+    monkeypatch.setattr(ftrl, "_lockstep_rounds", recording)
     assert main(["ftrl", "--n", "16", "--d", "2", "--seed", "9", "--seeds-count", str(count)]) == 0
     assert groups == [3] * (count // 3) + ([count % 3] if count % 3 else [])
     assert capsys.readouterr().out == _per_seed_ftrl_csv(16, 2, 9, count)
@@ -585,8 +684,8 @@ def test_ftrl_cli_equals_per_seed_loop_with_linalg_norm(capsys, monkeypatch, n, 
     args = ["ftrl", "--n", str(n), "--d", str(d), "--seed", str(seed), "--seeds-count", str(count)]
     assert main(args + ["--kappa", str(kappa), "--radius", str(radius)]) == 0
     got = capsys.readouterr().out
-    # the lockstep loops call neither; the per-seed learner calls both and
-    # the per-seed oracle project_ball
+    # the product's loops call neither; the reference learner calls both
+    # and the per-seed oracle project_ball
     monkeypatch.setattr("contcount.ftrl.clip", _linalg_norm_shrink)
     monkeypatch.setattr("contcount.ftrl.project_ball", _linalg_norm_shrink)
     assert got == _per_seed_ftrl_csv(n, d, seed, count, kappa, radius)
