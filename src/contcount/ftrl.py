@@ -54,13 +54,6 @@ _ORACLE_TOL = 1e-8
 _ORACLE_MAX_ITER = 200_000
 
 
-def _shrink_rows(v: np.ndarray, r: float) -> np.ndarray:
-    """``_shrink_rows_in_place`` on a copy of v: always a new array."""
-    out = v.copy()
-    _shrink_rows_in_place(out, r, np.empty((v.shape[0], 1)))
-    return out
-
-
 # 0-d arrays: numpy applies them faster than Python floats of equal value
 _HALF, _ONE = np.array(0.5), np.array(1.0)
 
@@ -127,15 +120,25 @@ def _check_kappa_radius(kappa: float, radius: float) -> None:
 
 def project_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius, of v
-    read as one row of ``_shrink_rows``; always a new array.  The radius
-    must be positive and finite, and a NaN or infinite entry is refused: it
-    has no projection."""
+    read as one row of ``_shrink_rows_in_place``; always a new array.  The
+    radius must be positive and finite, and a NaN or infinite entry is
+    refused: it has no projection."""
     _check_positive_finite("radius", radius)
-    v = np.asarray(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64, order="C")  # a copy, shrunk in place
     if not np.isfinite(v).all():
         raise ValueError(f"vector entries must be finite, got {v}")
-    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
-        return _shrink_rows(v.reshape(1, -1), radius).reshape(v.shape)
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows_in_place
+        _shrink_rows_in_place(v.reshape(1, -1), radius, np.empty((1, 1)))
+    return v
+
+
+def _regret_width(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float):
+    """The checked n and the width kappa^2 + kappa C sqrt(d) of
+    ``lambda_star`` and ``regret_bound``."""
+    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
+    _check_kappa_radius(kappa, radius)
+    c = budget.noise_multiplier
+    return n, kappa * kappa + kappa * c * math.sqrt(d)
 
 
 def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: float) -> float:
@@ -146,10 +149,7 @@ def lambda_star(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: flo
 
     A strength that overflows float64, or underflows to 0, is refused.
     """
-    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
-    _check_kappa_radius(kappa, radius)
-    c = budget.noise_multiplier
-    width = kappa * kappa + kappa * c * math.sqrt(d)
+    n, width = _regret_width(n, kappa, d, budget, radius)
     lam = math.sqrt(2.0 * n * _upper_log_factor(n) * width) / radius
     if not 0 < lam < math.inf:
         flow = "overflows" if lam else "underflows"
@@ -166,10 +166,7 @@ def regret_bound(n: int, kappa: float, d: int, budget: PrivacyBudget, radius: fl
 
     A bound that overflows float64 is refused.
     """
-    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
-    _check_kappa_radius(kappa, radius)
-    c = budget.noise_multiplier
-    width = kappa * kappa + kappa * c * math.sqrt(d)
+    n, width = _regret_width(n, kappa, d, budget, radius)
     bound = radius * math.sqrt(_upper_log_factor(n) * width / (2.0 * n))
     if bound == math.inf:
         raise ValueError(f"regret bound overflows float64 at kappa={kappa}, radius={radius}")
@@ -251,7 +248,10 @@ class LogisticTask:
     ys: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        # a float64 array is kept as the same object
+        xs, ys = np.asarray(self.xs, dtype=np.float64), np.asarray(self.ys, dtype=np.float64)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         if xs.ndim != 2 or 0 in xs.shape:
             raise ValueError(f"xs must be 2-D with n, d >= 1, got shape {xs.shape}")
         if ys.shape != xs.shape[:1] or not (np.abs(ys) == 1).all():  # also refuses nan
@@ -338,7 +338,8 @@ def _minimize_logistic_in_balls(xs: np.ndarray, ys: np.ndarray, radius: float) -
     xs and (k, n) labels ys, in lockstep: a (k, d) block of optima.
 
     Each iteration takes the gradients at every task's momentum point and
-    iterate in one ``_avg_grads`` call and projects with ``_shrink_rows``;
+    iterate in one ``_avg_grads`` call and projects its two fresh steps in
+    place with ``_shrink_rows_in_place``;
     a task leaves the block at the iteration its stopping rule holds, so
     each optimum is byte for byte that of the task run alone.
     """
@@ -351,12 +352,17 @@ def _minimize_logistic_in_balls(xs: np.ndarray, ys: np.ndarray, radius: float) -
     neg_ys = -ys
     theta = np.zeros(optima.shape)
     momentum = theta.copy()
+    scales = np.empty((xs.shape[0], 1))
     t_acc = 1.0
-    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows
+    with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows_in_place
         for _ in range(_ORACLE_MAX_ITER):
             grads = _avg_grads(xs, neg_ys, np.stack((momentum, theta), axis=1))
-            nxt = _shrink_rows(momentum - step * grads[:, 0], radius)
-            mapped = (theta - _shrink_rows(theta - step * grads[:, 1], radius)) / step
+            scale = scales[: len(active)]
+            nxt = momentum - step * grads[:, 0]
+            _shrink_rows_in_place(nxt, radius, scale)
+            projected = theta - step * grads[:, 1]
+            _shrink_rows_in_place(projected, radius, scale)
+            mapped = (theta - projected) / step
             # the norm np.linalg.norm gives: sqrt of one dot product per row
             done = np.sqrt(np.vecdot(mapped, mapped)) <= _ORACLE_TOL
             if done.any():
@@ -393,7 +399,10 @@ def _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start):
     copied in as it comes and then dropped, so neither is held twice."""
     k, (n, d) = len(seeds), shape
     xs, ys, noise = np.empty((k, n, d)), np.empty((k, n)), np.empty((n, k, d))
-    for j, (task, seed) in enumerate(zip(itertools.islice(tasks, k), seeds, strict=True)):
+    for j, seed in enumerate(seeds):
+        task = next(tasks, None)
+        if task is None:
+            raise ValueError(f"fewer tasks than seeds: no task {start + j} for seed {seed}")
         if task.xs.shape != shape:
             raise ValueError(f"task {start + j} has shape {task.xs.shape}, task 0 has {shape}")
         learner = DpFtrlLearner(n, d, budget, seed, kappa=kappa, radius=radius)

@@ -11,7 +11,6 @@ from contcount.ftrl import (
     LogisticTask,
     RegretReport,
     _minimize_logistic_in_balls,
-    _shrink_rows,
     _sigmoid,
     clip,
     lambda_star,
@@ -290,6 +289,13 @@ def test_logistic_task_refuses_malformed_streams():
     on_sphere = xs / np.linalg.norm(xs, axis=1, keepdims=True) * (1 + 5e-13)
     assert LogisticTask(xs=on_sphere, ys=ys).n == 8
     assert LogisticTask(xs=np.zeros((1, 1)), ys=np.array([-1.0])).d == 1
+    # lists are stored as float64 arrays, float64 arrays as themselves
+    listed = LogisticTask(xs=[[0.5, 0.1]], ys=[1])
+    assert (listed.n, listed.d) == (1, 2)
+    assert listed.xs.dtype == listed.ys.dtype == np.float64
+    assert listed.avg_loss(np.zeros(2)) == math.log(2.0)
+    kept = LogisticTask(xs=xs, ys=ys)
+    assert kept.xs is xs and kept.ys is ys
 
 
 def test_separable_task_low_oracle_loss():
@@ -499,9 +505,9 @@ def test_lockstep_refusals():
         run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0, 1])
     with pytest.raises(ValueError, match="at least one seed"):
         run_dp_ftrl_logistic_seeds([], BUDGET, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fewer tasks than seeds: no task 1 for seed 1"):
         run_dp_ftrl_logistic_seeds(tasks[:1], BUDGET, [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more tasks than the 1 seeds"):
         run_dp_ftrl_logistic_seeds(tasks, BUDGET, [0])
 
 
@@ -527,8 +533,9 @@ def test_lockstep_groups_draw_tasks_as_they_go_and_refuse_mismatches(monkeypatch
     assert run_dp_ftrl_logistic_seeds(tasks(7), BUDGET, seeds) == want
     # each group draws its tasks once it starts: the first one was drawn to size the groups
     assert groups == [(3, 1), (3, 3), (1, 6)]
-    for count in (1, 4, 6):  # too few tasks, in the first, second and third group
-        with pytest.raises(ValueError):
+    # too few tasks: in the first group, at and after the second's start, at the third's
+    for count in (1, 3, 4, 6):
+        with pytest.raises(ValueError, match=f"fewer tasks than seeds: no task {count} for seed {count}"):
             run_dp_ftrl_logistic_seeds(tasks(count), BUDGET, seeds)
     with pytest.raises(ValueError, match="more tasks than the 7 seeds"):
         run_dp_ftrl_logistic_seeds(tasks(8), BUDGET, seeds)
@@ -538,9 +545,16 @@ def test_lockstep_groups_draw_tasks_as_they_go_and_refuse_mismatches(monkeypatch
         run_dp_ftrl_logistic_seeds(tasks(7, odd=4), BUDGET, seeds)
 
 
+def _shrink_rows(v, r):
+    """``ftrl._shrink_rows_in_place`` on a copy of the (k, d) block v."""
+    out = v.copy()
+    ftrl._shrink_rows_in_place(out, r, np.empty((v.shape[0], 1)))
+    return out
+
+
 def _shrink(v, r):
     """The one-vector shrink that ``clip`` and ``project_ball`` ran before
-    ``_shrink_rows`` served them: v itself if sqrt(v . v) is at most r,
+    ``_shrink_rows_in_place`` served them: v itself if sqrt(v . v) is at most r,
     else v rescaled to norm r, through a power of two when v . v
     overflows."""
     sq = float(np.vdot(v, v))

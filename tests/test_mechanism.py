@@ -652,12 +652,18 @@ def test_normals_blocks_straddling_word_edges(edge):
 def test_pcg64_states_equal_numpy_seeding():
     # a numpy release that seeds PCG64 differently fails here, not silently
     rng = np.random.default_rng(2024)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
-    seeds += [int(rng.integers(0, 2**63)) << int(rng.integers(0, 140)) for _ in range(60)]
+    seeds = [0, 1, 2**31, 2**32 - 1] + [int(s) for s in rng.integers(0, 2**32, 200)]
     for seed in seeds:
         assert mechanism._pcg64_states(seed, 1) == [np.random.PCG64(seed).state]
-        assert mechanism._pcg64_states(seed, 3) == [np.random.PCG64(seed + i).state for i in range(3)]
+    for seed in (0, 2**31, 2**32 - 3, *seeds[-60:]):
+        count = min(3, 2**32 - seed)
+        want = [np.random.PCG64(seed + i).state for i in range(count)]
+        assert mechanism._pcg64_states(seed, count) == want
     assert mechanism._pcg64_states(5, 0) == []
+    # a seed past 2^32 would wrap in the uint32 entropy words to a wrong state
+    for first, count in ((2**32, 1), (2**32 - 3, 4), (2**40 + 7, 3), (-1, 2)):
+        with pytest.raises(ValueError, match=r"seeds in \[0, 2\^32\)"):
+            mechanism._pcg64_states(first, count)
 
 
 def test_normals_draw_one_generator_per_block(monkeypatch):
@@ -669,10 +675,14 @@ def test_normals_draw_one_generator_per_block(monkeypatch):
         return pcg64(seed)
 
     monkeypatch.setattr(np.random, "PCG64", counting)
-    block = mechanism._normals(2**32 - 2, 5, 4)
-    assert built == [2**32 - 2]
+    below = mechanism._normals(2**32 - 5, 5, 4)  # its last seed is 2^32 - 1
+    assert built == [2**32 - 5]
+    built.clear()
+    straddling = mechanism._normals(2**32 - 2, 5, 4)
+    assert built == [2**32 - 2 + i for i in range(5)]
     monkeypatch.undo()
-    assert block.tobytes() == _per_row_normals(2**32 - 2, 5, 4).tobytes()
+    assert below.tobytes() == _per_row_normals(2**32 - 5, 5, 4).tobytes()
+    assert straddling.tobytes() == _per_row_normals(2**32 - 2, 5, 4).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7.9, 7.0, "7", None, np.float64(3.0), [1]])
