@@ -12,13 +12,18 @@ and take the regularized argmin (a rescaling) projected onto the ball.
 
 A round is written once, ``_ftrl_step`` on (k, d) blocks of k learners,
 with one norm-and-rescale, ``_shrink_rows_in_place``, for the clip and the
-projection (``clip`` and ``project_ball`` run it on a copy of one row).
+projection (``clip`` and ``project_ball`` run it on a copy of one row); it
+writes nothing when every row is inside the ball.
 ``DpFtrlLearner.step_gradient`` runs the round with k = 1, and
 ``run_dp_ftrl_logistic_seeds`` with a row per seed, so each round's numpy
 calls serve every seed; its post-hoc oracle serves them all too, and each
-seed leaves it at its own stopping iteration.  Every operation acts on each
-seed's row alone, so each report is byte for byte that of the seed's own
-``run_dp_ftrl_logistic``.
+seed leaves it at its own stopping iteration.  Both read the logistic
+streams sign-folded, each row x stored as -y x, so a margin or gradient
+takes no multiply by the label, and the rounds skip the clip when
+``_clip_norm`` shows that no gradient can be longer than kappa.  Every
+operation acts on each seed's row alone, and each shortcut rounds exactly
+as the operations it replaces, so each report is byte for byte that of the
+seed's own ``run_dp_ftrl_logistic``.
 """
 
 from __future__ import annotations
@@ -58,30 +63,34 @@ _ORACLE_MAX_ITER = 200_000
 _HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
-def _shrink_rows_in_place(v: np.ndarray, r, scale: np.ndarray) -> None:
+def _shrink_rows_in_place(v: np.ndarray, r: float, scale: np.ndarray) -> None:
     """Rescale each row of the (k, d) block v, in place, to Euclidean norm
     r when its norm is more than r, with the (k, 1) buffer ``scale``.
 
     The norm is sqrt(v . v), the value ``np.linalg.norm`` gives on vectors,
-    at less cost per call: ``np.vecdot`` makes one ddot per row, and
-    ``r / norm`` is at least 1 exactly when the norm is at most r, so the
-    scale is then 1.  A row whose square overflows to inf is first scaled
-    by the power of two 2^-e that puts its largest entry in [1/2, 1), which
-    is exact; it is kept as it is when that scaled norm is at most r 2^-e,
-    and is otherwise (w / norm) r.  Call it under
-    ``np.errstate(over="ignore", divide="ignore")``: a square may
+    at less cost per call: ``np.vecdot`` makes one ddot per row.  The norms
+    are read once; when none is more than r, v is left unwritten, since
+    every scale min(r / norm, 1) is then exactly 1 (r / norm is at least 1,
+    and r / 0 = inf).  A row whose square overflows has norm sqrt(inf) =
+    inf; it is first scaled by the power of two 2^-e that puts its largest
+    entry in [1/2, 1), which is exact, and is kept as it is when that
+    scaled norm is at most r 2^-e, and is otherwise (w / norm) r.  Call it
+    under ``np.errstate(over="ignore", divide="ignore")``: a square may
     overflow, and a zero norm gives r / 0 = inf.
     """
     np.vecdot(v, v, out=scale, keepdims=True)
+    np.sqrt(scale, out=scale)
+    norms = scale.ravel().tolist()
+    if max(norms) <= r:
+        return
     over = None
-    if math.inf in scale.ravel().tolist():
+    if math.inf in norms:
         over = scale[:, 0] == math.inf
         u = v[over]
         e = np.frexp(np.abs(u).max(axis=1))[1][:, None]
         w = np.ldexp(u, -e)
         norm = np.sqrt(np.vecdot(w, w))[:, None]
         shrunk = np.where(norm <= np.ldexp(r, -e), u, (w / norm) * r)
-    np.sqrt(scale, out=scale)
     np.divide(r, scale, out=scale)
     np.minimum(scale, _ONE, out=scale)
     np.multiply(v, scale, out=v)
@@ -93,8 +102,11 @@ def _ftrl_step(grad, grad_prefix, z, theta, kappa, radius, neg_lam, scale) -> No
     """One round of k learners, in place on (k, d) blocks: clip each row of
     ``grad`` to kappa and add it to ``grad_prefix``; set ``theta`` to
     (prefix + z) / (-lam), which is exactly -(prefix + z) / lam, projected
-    onto the ball.  Errstate and ``scale``: as ``_shrink_rows_in_place``."""
-    _shrink_rows_in_place(grad, kappa, scale)
+    onto the ball.  A kappa of None skips the clip, for a caller that has
+    shown it would leave every row as it is.  Errstate and ``scale``: as
+    ``_shrink_rows_in_place``."""
+    if kappa is not None:
+        _shrink_rows_in_place(grad, kappa, scale)
     np.add(grad_prefix, grad, out=grad_prefix)
     np.add(grad_prefix, z, out=theta)
     np.divide(theta, neg_lam, out=theta)
@@ -312,57 +324,60 @@ def minimize_logistic_in_ball(task: LogisticTask, radius: float) -> np.ndarray:
     ``_ORACLE_TOL``, for at most ``_ORACLE_MAX_ITER`` iterations
     (``_minimize_logistic_in_balls`` on one task).
     """
-    return _minimize_logistic_in_balls(task.xs[None], task.ys[None], radius)[0]
+    neg_xs = np.multiply(task.xs, np.negative(task.ys)[:, None])
+    return _minimize_logistic_in_balls(neg_xs[None], radius)[0]
 
 
-def _avg_grads(xs: np.ndarray, neg_ys: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _avg_grads(neg_xs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The gradient of task j's average logistic loss at each of points[j],
     byte for byte (-y sigmoid(-y xs @ theta)) @ xs / n, for the (k, n, d)
-    inputs xs, negated (k, n) labels neg_ys and (k, m, d) points of k tasks.
+    sign-folded streams neg_xs, rows -y x, and (k, m, d) points of k tasks.
 
     The stacked ``matmul`` makes one matrix-vector product per task and
-    point, the products ``xs @ theta`` and ``weights @ xs`` make.  The
-    weights -y sigmoid(-y x.theta) are built in one buffer by the same
-    elementwise operations (a product's sign and operand order do not
-    change its bits): large temporaries cost more than the arithmetic.
+    point, the products ``xs @ theta`` and ``weights @ xs`` make.  Negating
+    a row of a product negates its result exactly (rounding to nearest is
+    symmetric), up to the sign of a zero, which the sigmoid erases; so the
+    first product gives the negated margins -y x.theta, and the second
+    sum_i sigmoid(-margin_i) (-y_i x_i) rounds each term as the weights
+    -y sigmoid(-margin) times x do.
     """
-    z = np.matmul(xs[:, None], points[..., None])[..., 0]
-    z *= neg_ys[:, None]  # the negated margins
+    z = np.matmul(neg_xs[:, None], points[..., None])[..., 0]
     _sigmoid(z, out=z)
-    z *= neg_ys[:, None]
-    return np.matmul(z[..., None, :], xs[:, None])[..., 0, :] / xs.shape[1]
+    return np.matmul(z[..., None, :], neg_xs[:, None])[..., 0, :] / neg_xs.shape[1]
 
 
-def _minimize_logistic_in_balls(xs: np.ndarray, ys: np.ndarray, radius: float) -> np.ndarray:
-    """``minimize_logistic_in_ball`` of each of k tasks, (k, n, d) inputs
-    xs and (k, n) labels ys, in lockstep: a (k, d) block of optima.
+def _minimize_logistic_in_balls(neg_xs: np.ndarray, radius: float) -> np.ndarray:
+    """``minimize_logistic_in_ball`` of each of k tasks, given as (k, n, d)
+    sign-folded streams neg_xs (``_avg_grads``), in lockstep: a (k, d)
+    block of optima.
 
-    Each iteration takes the gradients at every task's momentum point and
-    iterate in one ``_avg_grads`` call and projects its two fresh steps in
-    place with ``_shrink_rows_in_place``;
-    a task leaves the block at the iteration its stopping rule holds, so
-    each optimum is byte for byte that of the task run alone.
+    Each task's momentum point and iterate are rows of one (k, 2, d)
+    buffer, and its two fresh steps rows of another: each iteration takes
+    the gradients at both points in one ``_avg_grads`` call, writes both
+    steps with one subtraction and projects them in one
+    ``_shrink_rows_in_place`` call; a task leaves the block at the
+    iteration its stopping rule holds, so each optimum is byte for byte
+    that of the task run alone.
     """
     _check_positive_finite("radius", radius)
     # Smoothness constant of the average logistic loss is at most
     # max eig of (1/4n) sum x x^T <= 1/4 for unit-ball inputs.
     step = 4.0
-    optima = np.empty((xs.shape[0], xs.shape[2]))
-    active = np.arange(xs.shape[0])  # the tasks still iterating, in block order
-    neg_ys = -ys
-    theta = np.zeros(optima.shape)
-    momentum = theta.copy()
-    scales = np.empty((xs.shape[0], 1))
+    k, _, d = neg_xs.shape
+    optima = np.empty((k, d))
+    active = np.arange(k)  # the tasks still iterating, in block order
+    points, steps = np.zeros((k, 2, d)), np.empty((k, 2, d))  # (momentum, theta), (nxt, projected)
+    scales = np.empty((2 * k, 1))
     t_acc = 1.0
     with np.errstate(over="ignore", divide="ignore"):  # for _shrink_rows_in_place
         for _ in range(_ORACLE_MAX_ITER):
-            grads = _avg_grads(xs, neg_ys, np.stack((momentum, theta), axis=1))
-            scale = scales[: len(active)]
-            nxt = momentum - step * grads[:, 0]
-            _shrink_rows_in_place(nxt, radius, scale)
-            projected = theta - step * grads[:, 1]
-            _shrink_rows_in_place(projected, radius, scale)
-            mapped = (theta - projected) / step
+            grads = _avg_grads(neg_xs, points)
+            np.multiply(grads, step, out=grads)
+            np.subtract(points, grads, out=steps)
+            _shrink_rows_in_place(steps.reshape(-1, d), radius, scales[: 2 * len(active)])
+            theta, mapped = points[:, 1], steps[:, 1]
+            np.subtract(theta, mapped, out=mapped)
+            np.divide(mapped, step, out=mapped)
             # the norm np.linalg.norm gives: sqrt of one dot product per row
             done = np.sqrt(np.vecdot(mapped, mapped)) <= _ORACLE_TOL
             if done.any():
@@ -370,11 +385,14 @@ def _minimize_logistic_in_balls(xs: np.ndarray, ys: np.ndarray, radius: float) -
                 going = ~done
                 if not going.any():
                     return optima
-                active, xs, neg_ys = active[going], xs[going], neg_ys[going]
-                theta, momentum, nxt = theta[going], momentum[going], nxt[going]
+                active, neg_xs, points, steps = active[going], neg_xs[going], points[going], steps[going]
+            momentum, theta, nxt = points[:, 0], points[:, 1], steps[:, 0]
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            momentum = nxt + ((t_acc - 1.0) / t_next) * (nxt - theta)
-            theta = nxt
+            # momentum = nxt + ((t_acc - 1) / t_next) (nxt - theta), then theta = nxt
+            np.subtract(nxt, theta, out=momentum)
+            np.multiply(momentum, (t_acc - 1.0) / t_next, out=momentum)
+            np.add(nxt, momentum, out=momentum)
+            theta[...] = nxt
             t_acc = t_next
     raise RuntimeError(f"ball-constrained optimizer did not reach tolerance {_ORACLE_TOL}")
 
@@ -410,38 +428,75 @@ def _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start):
     return xs, ys, noise, lam
 
 
+# Least kappa for which ``_clip_norm`` may skip the clip: see its argument.
+_NO_CLIP_MIN_KAPPA = 2.0**-400
+
+
+def _clip_norm(xs: np.ndarray, kappa: float, sq_norms: np.ndarray) -> float | None:
+    """The clip norm of the rounds on the (k, n, d) streams xs: None, no
+    clip, when no round's gradient can be longer than kappa, else kappa.
+    ``sq_norms`` is a (k, n) buffer for the squared row norms.
+
+    A gradient is fl(s x) (its sign aside) for an input row x and a sigmoid
+    weight s in [0, 1], so |g_i| <= |x_i| entry by entry: rounding is
+    monotone.  The clip computes ||g|| as fl(sqrt(fl(sum_i g_i^2))); the
+    longest row norm L is computed here the same way, with the d terms maybe
+    summed in another order.  With u = 2^-53, any order of d non-negative
+    squares gives the exact sum to within a factor (1 +- u)^d, and the root
+    adds a factor (1 +- u), so the clip reads ||g|| <= L ((1 + u) /
+    (1 - u))^(d/2 + 1), about L (1 + (d + 2) u).  fl(L (1 + 4 d u)) <= kappa
+    (the factor is exact) puts that below kappa for d >= 2, with (3d - 3) u
+    to spare; for d = 1 both norms are the root of one square, and ||g|| <=
+    L <= kappa by monotonicity alone.  Each clip would then scale by exactly
+    1.  The relative bounds fail where a square underflows below 2^-1022
+    and carries an absolute error of up to 2^-1075 instead, so the clip is
+    kept for kappa below ``_NO_CLIP_MIN_KAPPA`` = 2^-400.  Above it, a row
+    with sum x_i^2 >= 2^-900 takes these errors as relative ones below
+    d 2^-175, far inside the spare, and a shorter row has ||g|| at most
+    about 2^-450 < kappa.
+    """
+    # the root of the largest square: the largest root, as the root is monotone
+    longest = math.sqrt(float(np.vecdot(xs, xs, out=sq_norms).max()))
+    if kappa >= _NO_CLIP_MIN_KAPPA and longest * (1.0 + 4 * xs.shape[2] * 2.0**-53) <= kappa:
+        return None
+    return kappa
+
+
 def _lockstep_rounds(tasks, budget, seeds, kappa, radius, shape, start) -> list[RegretReport]:
     """The reports of one group of seeds (``_stack_seeds``): the round loop,
     then the post-hoc optima of ``_minimize_logistic_in_balls``, after the
     noise, which only the loop reads, is dropped.
 
-    Each round writes into buffers allocated once: the gradients at every
-    seed's iterate, then one ``_ftrl_step``.  The negated margins are
-    computed as (-y) x.theta, which is exactly -(y x.theta), and the
-    gradient weight -(y sigmoid(-margin)) as (-y) sigmoid(-margin)."""
+    The stacked streams are sign-folded in place first: each row x becomes
+    -y x, which is exact, and the reports get x back by the same multiply.
+    Each round then writes into buffers allocated once: the negated margins
+    (-y x).theta, exactly -(y x.theta) up to the sign of a zero, which
+    ``tanh`` and ``logaddexp`` erase; the gradients sigmoid(-margin) (-y x),
+    which round as (-y sigmoid(-margin)) x does; then one ``_ftrl_step``,
+    with no clip when ``_clip_norm`` shows it would change nothing."""
     xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start)
     k, n, d = xs.shape
     bound = regret_bound(n, kappa, d, budget, radius)
-    neg_ys = np.negative(ys.T, order="C")  # round-major
     neg_margins = np.empty((n, k))
+    clip_norm, radius = _clip_norm(xs, float(kappa), neg_margins.T), float(radius)
+    neg_ys = np.negative(ys)[..., None]
+    xs *= neg_ys  # the sign-folded streams -y x
     weight, scale = np.empty((k, 1)), np.empty((k, 1))
     w = weight[:, 0]  # the weight column as a (k,) row
     grad, grad_prefix, theta = np.empty((k, d)), np.zeros((k, d)), np.zeros((k, d))
-    # kappa, radius and -lam as 0-d arrays, which numpy applies faster than floats
-    constants = [np.array(float(v)) for v in (kappa, radius, -lam)]
+    neg_lam = np.array(-lam)  # a 0-d array: numpy applies it faster than a float
     with np.errstate(over="ignore", divide="ignore"):  # for _ftrl_step
-        for x, neg_y, neg_margin, z in zip(xs.transpose(1, 0, 2), neg_ys, neg_margins, noise):
-            np.vecdot(x, theta, out=neg_margin)
-            np.multiply(neg_margin, neg_y, out=neg_margin)
+        for neg_x, neg_margin, z in zip(xs.transpose(1, 0, 2), neg_margins, noise):
+            np.vecdot(neg_x, theta, out=neg_margin)
             _sigmoid(neg_margin, out=w)
-            np.multiply(w, neg_y, out=w)  # (-y) _sigmoid(-margin)
-            np.multiply(weight, x, out=grad)
-            _ftrl_step(grad, grad_prefix, z, theta, *constants, scale)
+            np.multiply(weight, neg_x, out=grad)
+            _ftrl_step(grad, grad_prefix, z, theta, clip_norm, radius, neg_lam, scale)
     # the running total of each seed's losses, one round at a time (a sum
     # down the column would be pairwise when there is one seed)
     incurred = np.cumsum(np.logaddexp(0.0, neg_margins), axis=0)[-1]
-    del noise, neg_ys, neg_margins, z, neg_y, neg_margin  # with the loop's row views
-    optima = _minimize_logistic_in_balls(xs, ys, radius)
+    del noise, neg_margins, z, neg_margin  # with the loop's row views
+    optima = _minimize_logistic_in_balls(xs, radius)
+    xs *= neg_ys  # (-y)(-y x) = x
     return [
         RegretReport(float(loss) / n, LogisticTask(xs=x, ys=y).avg_loss(opt), bound)
         for loss, x, y, opt in zip(incurred, xs, ys, optima)

@@ -499,6 +499,48 @@ def test_lockstep_blocks_where_only_some_rows_overflow(monkeypatch):
     assert (True, False, True) in overflowed
 
 
+def _recording_clip_norms(monkeypatch):
+    """The clip norm of each ``_ftrl_step`` call, None where it skips the clip."""
+    clip_norms = []
+    ftrl_step = ftrl._ftrl_step
+
+    def recording(grad, grad_prefix, z, theta, kappa, *args):
+        clip_norms.append(kappa)
+        ftrl_step(grad, grad_prefix, z, theta, kappa, *args)
+
+    monkeypatch.setattr(ftrl, "_ftrl_step", recording)
+    return clip_norms
+
+
+def test_rounds_skip_the_clip_only_where_no_gradient_can_exceed_kappa(monkeypatch):
+    # the ftrl benchmark shape: n = 2048, d = 5, 5 seeds, kappa = 1; then
+    # kappa at the longest row norm and either side of the bound's edge
+    n, d, seeds = 2048, 5, [3, 4, 5, 6, 7]
+    tasks = [logistic_task(n, d, seed) for seed in seeds]
+    longest = max(float(np.sqrt(np.vecdot(task.xs, task.xs)).max()) for task in tasks)
+    edge = longest * (1.0 + 4 * d * 2.0**-53)
+    assert longest < edge < 1.0
+    clip_norms = _recording_clip_norms(monkeypatch)
+    for kappa, clips in ((1.0, False), (edge, False), (np.nextafter(edge, 0.0), True), (longest, True)):
+        clip_norms.clear()
+        want = [_per_seed_run(task, BUDGET, seed, kappa) for task, seed in zip(tasks, seeds)]
+        assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, seeds, kappa) == want
+        assert clip_norms == [kappa if clips else None] * n
+
+
+def test_rounds_keep_the_clip_below_the_underflow_floor(monkeypatch):
+    # inputs of norm about 2^-600 are far inside a kappa of 2^-401, but
+    # squares that small underflow, so the bound's argument does not hold
+    tasks = [logistic_task(40, 3, seed) for seed in (1, 2)]
+    tasks = [LogisticTask(xs=task.xs * 2.0**-600, ys=task.ys) for task in tasks]
+    clip_norms = _recording_clip_norms(monkeypatch)
+    for kappa, clips in ((2.0**-401, True), (2.0**-400, False)):
+        clip_norms.clear()
+        want = [_per_seed_run(task, BUDGET, seed, kappa) for task, seed in zip(tasks, [1, 2])]
+        assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, [1, 2], kappa) == want
+        assert clip_norms == [kappa if clips else None] * 40
+
+
 def test_lockstep_refusals():
     tasks = [logistic_task(8, 2, 0), logistic_task(8, 3, 1)]
     with pytest.raises(ValueError, match="task 1 has shape"):
@@ -591,6 +633,18 @@ def test_shrink_rows_equals_shrink():
             for got in (clip(x, r), project_ball(x, r)):
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+
+def test_shrink_rows_leaves_rows_inside_the_ball_unwritten():
+    # zero rows, -0.0 entries and a row of norm exactly r: every scale is 1,
+    # so a read-only block goes through, which a write would refuse
+    v = np.array([[0.0, 0.0, 0.0], [-0.0, 0.3, -0.0], [3.0, -4.0, 0.0], [-0.0, -0.0, -0.0]])
+    v.flags.writeable = False
+    with np.errstate(over="ignore", divide="ignore"):
+        ftrl._shrink_rows_in_place(v, 5.0, np.empty((4, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            ftrl._shrink_rows_in_place(v, np.nextafter(5.0, 0.0), np.empty((4, 1)))
+    assert v.tobytes() == np.array([[0, 0, 0], [-0.0, 0.3, -0.0], [3, -4, 0], [-0.0, -0.0, -0.0]]).tobytes()
 
 
 def test_project_ball_returns_a_new_array():
@@ -706,7 +760,8 @@ def test_ftrl_cli_equals_per_seed_loop_with_linalg_norm(capsys, monkeypatch, n, 
 
 
 def _stacked(tasks):
-    return np.array([task.xs for task in tasks]), np.array([task.ys for task in tasks])
+    """The tasks' sign-folded streams, rows -y x, stacked."""
+    return np.array([-task.ys[:, None] * task.xs for task in tasks])
 
 
 # a task whose gradient is 0 stops at the first iteration, before the others
@@ -723,7 +778,7 @@ STOPS_AT_ONCE = LogisticTask(xs=np.zeros((200, 3)), ys=np.ones(200))
 def test_lockstep_oracle_equals_per_seed_loop(k, n, d, flip_prob, radius):
     tasks = [logistic_task(n, d, 2**40 + j, flip_prob) for j in range(k)]
     want = np.array([_per_seed_minimize(task, radius) for task in tasks])
-    assert _minimize_logistic_in_balls(*_stacked(tasks), radius).tobytes() == want.tobytes()
+    assert _minimize_logistic_in_balls(_stacked(tasks), radius).tobytes() == want.tobytes()
     assert np.array([minimize_logistic_in_ball(task, radius) for task in tasks]).tobytes() == want.tobytes()
     if radius < 1e300 and (flip_prob == 0.0 or radius < 0.1):
         assert np.linalg.norm(want, axis=1) == pytest.approx(radius, rel=1e-9)
@@ -732,7 +787,7 @@ def test_lockstep_oracle_equals_per_seed_loop(k, n, d, flip_prob, radius):
 def test_lockstep_oracle_tasks_leave_at_their_own_iteration():
     tasks = [logistic_task(200, 3, 1), STOPS_AT_ONCE, logistic_task(200, 3, 2, flip_prob=0.0), STOPS_AT_ONCE]
     want = np.array([_per_seed_minimize(task, 1.0) for task in tasks])
-    got = _minimize_logistic_in_balls(*_stacked(tasks), 1.0)
+    got = _minimize_logistic_in_balls(_stacked(tasks), 1.0)
     assert got.tobytes() == want.tobytes()
     assert not got[1].any() and got[0].any()
 
@@ -744,13 +799,13 @@ def test_oracle_that_does_not_converge_raises(monkeypatch):
         _per_seed_minimize(slow, 1.0)
     for call in (
         lambda: minimize_logistic_in_ball(slow, 1.0),
-        lambda: _minimize_logistic_in_balls(*_stacked([STOPS_AT_ONCE, slow]), 1.0),
+        lambda: _minimize_logistic_in_balls(_stacked([STOPS_AT_ONCE, slow]), 1.0),
         lambda: run_dp_ftrl_logistic_seeds([slow, slow], BUDGET, [0, 1]),
     ):
         with pytest.raises(RuntimeError) as got:
             call()
         assert str(got.value) == str(want.value) == "ball-constrained optimizer did not reach tolerance 1e-08"
-    assert not _minimize_logistic_in_balls(*_stacked([STOPS_AT_ONCE]), 1.0).any()
+    assert not _minimize_logistic_in_balls(_stacked([STOPS_AT_ONCE]), 1.0).any()
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -634,7 +635,8 @@ def _per_row_normals(seed, rows, width):
     return z
 
 
-@pytest.mark.parametrize("rows, width", [(0, 3), (1, 1), (2, 1), (3, 7), (250, 1024), (500, 511)])
+# 2049 rows take their states from three _pcg64_states calls
+@pytest.mark.parametrize("rows, width", [(0, 3), (1, 1), (2, 1), (3, 7), (250, 1024), (500, 511), (2049, 2)])
 def test_normals_equal_per_row_generators(rows, width):
     for seed in (0, 12345, 2**40 + 7):
         got = mechanism._normals(seed, rows, width)
@@ -664,6 +666,34 @@ def test_pcg64_states_equal_numpy_seeding():
     for first, count in ((2**32, 1), (2**32 - 3, 4), (2**40 + 7, 3), (-1, 2)):
         with pytest.raises(ValueError, match=r"seeds in \[0, 2\^32\)"):
             mechanism._pcg64_states(first, count)
+
+
+def test_normals_set_row_states_a_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(mechanism, "_STATE_ROWS", 3)
+    calls = []
+    pcg64_states = mechanism._pcg64_states
+
+    def recording(first, count):
+        calls.append((first, count))
+        return pcg64_states(first, count)
+
+    monkeypatch.setattr(mechanism, "_pcg64_states", recording)
+    for rows in (1, 2, 4, 5, 8):
+        calls.clear()
+        assert mechanism._normals(10, rows, 2).tobytes() == _per_row_normals(10, rows, 2).tobytes()
+        assert calls == [(first, min(3, 10 + rows - first)) for first in range(11, 10 + rows, 3)]
+
+
+def test_narrow_block_memory_does_not_grow_with_rows():
+    # one block of 2^14 one-value rows; a PCG64 state dict held per row
+    # (about 0.8 KB each) made the peak about 13 MiB
+    tracemalloc.start()
+    try:
+        monte_carlo_mse("factorization", 1, 2**14, PrivacyBudget(1.0, 1e-10), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_normals_draw_one_generator_per_block(monkeypatch):
