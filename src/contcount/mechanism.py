@@ -1,13 +1,14 @@
 """Private counting mechanisms and their Monte-Carlo error harness.
 
 Every mechanism releases the exact prefix sums plus correlated noise L z.
-``_MECHANISMS`` maps each kind to one function from a (b, width) block of
-standard normals, one row per release, to b outputs, built on
-``_sqrt_noise`` (square-root Toeplitz), ``_binary_counts`` (the tree, in
-O(n) by out[t] = out[t - lowbit(t)] + noisy block) or ``_honaker_noise``
-(Honaker's tree estimator, with no dense matrix).  ``_matrix_counts`` does
-the same for an explicit dense factorization (``matrix_mechanism_run``).
-``release`` runs them on one row, ``monte_carlo_mse`` on blocks of trials.
+``_MECHANISMS`` maps each kind to its noise: a function from a (b, width)
+block of standard normals, one row per release, to b noise rows:
+``_sqrt_noise`` (square-root Toeplitz), ``_binary_noise`` (the tree, in
+O(n) by out[t] = out[t - lowbit(t)] + node noise) or ``_honaker_noise``
+(Honaker's tree estimator, with no dense matrix).  ``release`` adds the
+prefix sums to one row of it; ``monte_carlo_mse`` maps blocks of trials to
+noise only.  An explicit dense factorization goes through ``_left_times``:
+L (R x + z) in ``matrix_mechanism_run``, L z in ``monte_carlo_mse``.
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -237,7 +238,7 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     """Honaker noise sigma M G^-1 R^T z_row for each row of the (b, 2n' - 1)
     normals ``z``, with R the binary strategy matrix, G = R^T R, M the
     counting matrix and sigma = multiplier * ``_tree_sensitivity(n)``, as in
-    ``_binary_counts``.  Returns a (b, n) array.  No matrix is
+    ``_binary_noise``.  Returns a (b, n) array.  No matrix is
     formed: O(n log n) time and O(n) memory per row.
 
     R^T z adds to each leaf the values of its ancestors.  Post-order lists
@@ -280,71 +281,51 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     return w
 
 
-def _binary_counts(x: np.ndarray, z: np.ndarray, multiplier: float) -> np.ndarray:
-    """Binary-mechanism outputs on the bits ``x`` for each row of the
+def _binary_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
+    """Binary-mechanism noise over n rounds for each row of the
     (b, 2n' - 1) normals ``z``, which are scaled in place to the node noise.
+    Returns a (b, n) array.
 
-    Round t adds the popcount(t) noisy p-sums covering [1, t], largest block
-    first.  Its last block has size lowbit(t), and the others cover
+    Round t adds the noise of the popcount(t) nodes covering [1, t], largest
+    block first.  Its last block has size lowbit(t), and the others cover
     [1, t - lowbit(t)], a round with a larger lowest set bit, so levels are
-    filled from the top down by out[t] = out[t - lowbit(t)] + block.  Each
-    block is an exact difference of the integer prefix sums plus its node
-    noise.  O(n) vectorised work per row.
+    filled from the top down by out[t] = out[t - lowbit(t)] + node noise.
+    O(n) vectorised work per row.
     """
-    n = x.shape[0]
     z *= multiplier * _tree_sensitivity(n)
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(x.astype(np.int64), out=prefix[1:])
     out = np.zeros((z.shape[0], n + 1))  # round t in column t; column 0 is the empty prefix
     for k, _, nodes in _dyadic_blocks(n):
         size = 1 << k
         # the rounds 2^k, 3 2^k, ... and the ones 2^k before them, as strided views
-        ends, before = slice(size, None, 2 * size), slice(0, n + 1 - size, 2 * size)
-        out[:, ends] = out[:, before] + ((prefix[ends] - prefix[before]) + z[:, nodes])
+        out[:, size :: 2 * size] = out[:, : n + 1 - size : 2 * size] + z[:, nodes]
     return out[:, 1:]
 
 
-def _matrix_counts(fact: Factorization, x, z: np.ndarray, multiplier: float) -> np.ndarray:
-    """L (R x + z_row) for each row of the (b, p) normals ``z``, which are
-    scaled in place by ``multiplier * ||R||_{1->2}``.
-
-    The stacked ``matmul`` makes one matrix-vector product per row, the
-    same product ``fact.left @ v`` makes; one matrix-matrix product for the
-    block would round differently.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fact.n,):
-        raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
-    z *= multiplier * fact.sensitivity
-    z += fact.right @ x
-    return np.matmul(fact.left, z[..., None])[..., 0]
-
-
-def _plus_prefix(x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """``noise`` plus cumsum(x), in place: added after the noise is built, so
-    the prefix sums are not held while it is."""
-    noise += np.cumsum(x)
-    return noise
+def _left_times(fact: Factorization, v: np.ndarray) -> np.ndarray:
+    """L v_row for each row of the (b, p) block ``v``.  The stacked
+    ``matmul`` makes one matrix-vector product per row, the same product
+    ``fact.left @ v_row`` makes; one matrix-matrix product for the block
+    would round differently."""
+    return np.matmul(fact.left, v[..., None])[..., 0]
 
 
 def _tree_width(n: int) -> int:
     return 2 * _next_pow2(n) - 1
 
 
-# kind -> (draw_width, counts): the standard normals one release over n
-# rounds draws, draw_width(n), and the (b, n) releases on the bits x, one
-# per row of the (b, draw_width(n)) normals z (overwritten), at noise
-# multiplier c.
+# kind -> (draw_width, noise): the standard normals one release over n
+# rounds draws, draw_width(n), and noise(z, c, n), the (b, n) noise of the
+# (b, draw_width(n)) normals z (overwritten) at noise multiplier c.
 _MECHANISMS = {
-    "factorization": (lambda n: n, lambda x, z, c: _plus_prefix(x, _sqrt_noise(z, c))),
-    "binary": (_tree_width, _binary_counts),
-    "honaker": (_tree_width, lambda x, z, c: _plus_prefix(x, _honaker_noise(z, c, x.shape[0]))),
+    "factorization": (lambda n: n, lambda z, c, n: _sqrt_noise(z, c)),
+    "binary": (_tree_width, _binary_noise),
+    "honaker": (_tree_width, _honaker_noise),
 }
 MECHANISM_KINDS = tuple(_MECHANISMS)
 
 
 def _mechanism(kind: str):
-    """The (draw_width, counts) entry of ``kind`` in ``_MECHANISMS``."""
+    """The (draw_width, noise) entry of ``kind`` in ``_MECHANISMS``."""
     if kind not in MECHANISM_KINDS:
         raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
     return _MECHANISMS[kind]
@@ -387,23 +368,28 @@ class StreamingCounter:
 def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Generic matrix mechanism: L (R x + z) with z ~ N(0, ||R||_{1->2}^2 C^2 I)."""
     z = _normals(_check_int("seed", seed), 1, fact.right.shape[0])
-    return _matrix_counts(fact, x, z, budget.noise_multiplier)[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (fact.n,):
+        raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
+    z *= budget.noise_multiplier * fact.sensitivity
+    z += fact.right @ x
+    return _left_times(fact, z)[0]
 
 
 def release(kind: str, bits, budget: PrivacyBudget, seed: int) -> np.ndarray:
-    """Noisy prefix counts of a non-empty 1-D bit stream under mechanism ``kind``.
-
-    ``"factorization"`` is ``cumsum(bits)`` plus ``_sqrt_noise``, byte for
-    byte what ``StreamingCounter.step`` returns; ``"binary"`` runs
-    ``_binary_counts``; ``"honaker"`` is ``cumsum(bits)`` plus
-    ``_honaker_noise``, with no dense matrix and no limit on n.  All of
-    them draw one row of normals from ``PCG64(seed)``.  The dense matrix
-    mechanism is ``matrix_mechanism_run``.
+    """Noisy prefix counts of a non-empty 1-D bit stream under mechanism ``kind``:
+    ``cumsum(bits)`` plus the kind's noise from ``_MECHANISMS`` on one row
+    of normals from ``PCG64(seed)``, added once the noise is built.
+    ``"factorization"`` is byte for byte what ``StreamingCounter.step``
+    returns; ``"honaker"`` forms no dense matrix and has no limit on n.
+    The dense matrix mechanism is ``matrix_mechanism_run``.
     """
-    draw_width, counts = _mechanism(kind)
+    draw_width, noise = _mechanism(kind)
     x = _check_bits(bits)
-    z = _normals(_check_int("seed", seed), 1, draw_width(x.shape[0]))
-    return counts(x, z, budget.noise_multiplier)[0]
+    n = x.shape[0]
+    out = noise(_normals(_check_int("seed", seed), 1, draw_width(n)), budget.noise_multiplier, n)[0]
+    out += np.cumsum(x)
+    return out
 
 
 def monte_carlo_mse(
@@ -416,33 +402,37 @@ def monte_carlo_mse(
 ) -> tuple[float, float]:
     """Empirical mean-squared error of a counting mechanism and its standard error.
 
-    Since the additive noise does not depend on the input, the worst-case
-    input in the error definition can be replaced by any fixed stream; the
-    harness uses the all-zeros stream.  Trial i draws the normals
-    ``release`` draws from seed + i; the trials are mapped to outputs in
-    blocks of at most ``_BLOCK_VALUES`` normals, by the functions
-    ``release`` runs, so each trial's error is byte for byte that of
-    ``release(kind, zeros, budget, seed + i)``.  ``fact`` is accepted only
-    with ``"honaker"``: the trials then run the dense ``_matrix_counts``,
-    byte for byte ``matrix_mechanism_run(fact, zeros, budget, seed + i)``.
+    A release's error is its noise, whatever the input, so each trial is
+    the kind's noise alone.  Trial i draws the normals ``release`` draws
+    from seed + i; the trials are mapped to noise in blocks of at most
+    ``_BLOCK_VALUES`` normals, by the function ``release`` runs, so each
+    trial's error is byte for byte that of ``release(kind, zeros, budget,
+    seed + i)``.  ``fact`` is accepted only with ``"honaker"``: the trials
+    then take the dense noise L z, byte for byte the error of
+    ``matrix_mechanism_run(fact, zeros, budget, seed + i)``.
     """
     n = _check_int("horizon", n, 1)
     trials = _check_int("trials", trials, 1)
     seed = _check_int("seed", seed)
-    draw_width, counts = _mechanism(kind)
+    draw_width, noise = _mechanism(kind)
     width = draw_width(n)
     if fact is not None:
         if kind != "honaker":
             raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
+        if fact.n != n:
+            raise ValueError(f"horizon {n} does not match factorization size {fact.n}")
         width = fact.right.shape[0]
-        counts = partial(_matrix_counts, fact)
-    zeros = np.zeros(n, dtype=np.int64)
+
+        def noise(z, c, n):
+            z *= c * fact.sensitivity
+            return _left_times(fact, z)
+
     rows = max(1, _BLOCK_VALUES // width)
 
     per_trial = np.empty(trials)
     for start in range(0, trials, rows):
         z = _normals(seed + start, min(rows, trials - start), width)
-        block = counts(zeros, z, budget.noise_multiplier)
+        block = noise(z, budget.noise_multiplier, n)
         # a row-wise mean: each trial's pairwise sum runs over its own row
         per_trial[start : start + len(z)] = np.mean(block**2, axis=1)
 

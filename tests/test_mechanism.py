@@ -202,30 +202,19 @@ def test_binary_mechanism_matches_dense_oracle():
         assert np.max(np.abs(out - dense)) <= 1e-9
 
 
-def _binary_mechanism_loop(x, budget, seed):
-    """Round-by-round binary mechanism: the reference for the level-by-level one."""
+def _binary_noise_loop(n, budget, seed):
+    """Round-by-round binary-mechanism noise, each round's node noise added
+    left to right: the reference for the level-by-level one."""
     from tree_oracles import dyadic_decomposition, postorder_index
 
-    n = x.shape[0]
     full = 1 << max(0, (n - 1).bit_length())
     sigma = budget.noise_multiplier * math.sqrt(1.0 + math.log2(full))
     y = _generator(seed).standard_normal(2 * full - 1) * sigma
-    psums = np.zeros(2 * full - 1)
-    partial = [0.0] * (full.bit_length() + 1)
     out = np.empty(n)
     for t in range(1, n + 1):
-        cur = float(x[t - 1])
-        psums[postorder_index(t, t, full)] = cur
-        level = 0
-        while t % (1 << (level + 1)) == 0:
-            cur += partial[level]
-            level += 1
-            psums[postorder_index(t - (1 << level) + 1, t, full)] = cur
-        partial[level] = cur
         acc = 0.0
         for a, b in dyadic_decomposition(t):
-            idx = postorder_index(a, b, full)
-            acc += psums[idx] + y[idx]
+            acc += y[postorder_index(a, b, full)]
         out[t - 1] = acc
     return out
 
@@ -235,30 +224,29 @@ def test_binary_mechanism_bit_identical_to_loop(n):
     for seed in (0, 17, 2**32 + 5):
         x = _generator(seed + n).integers(0, 2, n)
         assert np.array_equal(
-            release("binary", x, BUDGET, seed), _binary_mechanism_loop(x, BUDGET, seed)
+            release("binary", x, BUDGET, seed), _binary_noise_loop(n, BUDGET, seed) + np.cumsum(x)
         )
 
 
 @pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 10**6])
 def test_binary_mechanism_bit_identical_to_tiles_at_large_n(n):
-    from tree_oracles import binary_counts_by_tiles
+    from tree_oracles import binary_noise_by_tiles
 
     width = 2 * (1 << (n - 1).bit_length()) - 1
     for seed in (0, 17, 2**32 + 5):
         x = _generator(seed + n).integers(0, 2, n)
         z = _generator(seed).standard_normal((1, width))
-        want = binary_counts_by_tiles(x, z, BUDGET.noise_multiplier)[0]
+        want = binary_noise_by_tiles(z, BUDGET.noise_multiplier, n)[0] + np.cumsum(x)
         assert np.array_equal(release("binary", x, BUDGET, seed), want)
 
 
 def test_binary_block_bit_identical_to_tiles():
-    from tree_oracles import binary_counts_by_tiles
+    from tree_oracles import binary_noise_by_tiles
 
     n = 5000
-    x = _generator(4).integers(0, 2, n)
     z = mechanism._normals(9, 3, 2 * 8192 - 1)
-    want = binary_counts_by_tiles(x, z, BUDGET.noise_multiplier)
-    assert np.array_equal(mechanism._binary_counts(x, z, BUDGET.noise_multiplier), want)
+    want = binary_noise_by_tiles(z, BUDGET.noise_multiplier, n)
+    assert np.array_equal(mechanism._binary_noise(z, BUDGET.noise_multiplier, n), want)
 
 
 def test_binary_mechanism_accepts_bool_and_float_bits():
@@ -319,6 +307,15 @@ def test_monte_carlo_matches_closed_forms():
     fact = honaker_left(4)
     est, se = monte_carlo_mse("honaker", 4, 20_000, BUDGET, seed=303, fact=fact)
     assert abs(est - expected_mse(fact, BUDGET)) <= 3 * se
+
+
+@pytest.mark.parametrize("n", [5, 100, 257, 1000])
+def test_monte_carlo_binary_matches_dense_at_non_powers_of_two(n):
+    # the ragged tree of ``_binary_noise``: the rounds past the last full subtree
+    from contcount.factorization import binary_factorization
+
+    est, se = monte_carlo_mse("binary", n, 4000, BUDGET, seed=n)
+    assert abs(est - expected_mse(binary_factorization(n), BUDGET)) <= 4 * se
 
 
 def test_monte_carlo_binary_vs_sqrt_ratio():
@@ -463,7 +460,7 @@ def test_monte_carlo_honaker_structured_matches_closed_form(n, seed):
 
 # The one-trial releases as they were before the mechanisms took a batch of
 # draws: ``release`` must still give their bytes.  (The binary one is
-# ``_binary_mechanism_loop``.)
+# ``_binary_noise_loop`` plus the prefix sums.)
 def _sqrt_release_1d(x, budget, seed):
     n = x.shape[0]
     coeffs = sqrt_coefficients(n)
@@ -516,7 +513,7 @@ def test_release_bytes_match_one_trial_references(n):
     x = _generator(n).integers(0, 2, n)
     refs = {
         "factorization": _sqrt_release_1d(x, BUDGET, seed),
-        "binary": _binary_mechanism_loop(x, BUDGET, seed),
+        "binary": _binary_noise_loop(n, BUDGET, seed) + np.cumsum(x),
         "honaker": _honaker_release_1d(x, BUDGET, seed),
     }
     for kind, want in refs.items():

@@ -1,8 +1,8 @@
 """Tree oracles: the reference the vectorised tree indexing of
 ``contcount.factorization`` and ``contcount.mechanism`` is checked against.
-The loops follow the definitions round by round; ``binary_counts_by_tiles``
-builds the binary mechanism level by level in O(n log n), without the
-lowest-set-bit recursion, and is fast enough for n near 10^6.
+The loops follow the definitions round by round; ``binary_noise_by_tiles``
+builds the binary mechanism's noise level by level in O(n log n), without
+the lowest-set-bit recursion, and is fast enough for n near 10^6.
 """
 
 import math
@@ -56,25 +56,22 @@ def postorder_index(a: int, b: int, n: int) -> int:
             raise ValueError(f"[{a}, {b}] is not a node of the tree over [1, {n}]")
 
 
-def binary_counts_by_tiles(x: np.ndarray, z: np.ndarray, multiplier: float) -> np.ndarray:
-    """Binary-mechanism outputs on the bits ``x`` for each row of the
-    (b, 2n' - 1) normals ``z``, built one tree level at a time.
+def binary_noise_by_tiles(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
+    """Binary-mechanism noise over n rounds for each row of the (b, 2n' - 1)
+    normals ``z``, built one tree level at a time.
 
-    Each round adds its noisy p-sums largest block first, as the mechanism
-    does.  At level k each run of 2^k rounds with bit k set adds one noisy
-    p-sum, through a strided view of the output: the run starting at s lies
+    Each round adds its node noise largest block first, as the mechanism
+    does.  At level k each run of 2^k rounds with bit k set adds one node's
+    noise, through a strided view of the output: the run starting at s lies
     in the tile of columns [s - 2^k, s + 2^k), and a last run whose tile
     passes n is a slice.  O(n log n) work per row; ``z`` is left unchanged.
     """
-    n = x.shape[0]
     z = z * (multiplier * math.sqrt(1.0 + math.log2(_next_pow2(n))))
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(x.astype(np.int64), out=prefix[1:])
     rows = z.shape[0]
     out = np.zeros((rows, n))  # round t in column t - 1
     for k, starts, nodes in _dyadic_blocks(n):
         size = 1 << k
-        noisy = (prefix[starts] - prefix[starts - size]).astype(np.float64) + z[:, nodes]
+        noisy = z[:, nodes]
         whole = n // (2 * size)  # runs whose tile fits in the n columns; at most one run is left
         tiles = out[:, : whole * 2 * size].reshape(rows, whole, 2 * size)
         tiles[:, :, size - 1 : 2 * size - 1] += noisy[:, :whole, None]
