@@ -15,6 +15,12 @@ computes numpy columns from library calls and hands them to one CSV writer,
 ``--out`` file, with the bytes of ``row_format % row`` for each row, built
 in numpy by ``linalg.format_csv_rows``.
 
+``count`` holds these O(n) arrays: the bits (int8), what its mechanism's
+noise needs while it is built (``mechanism.release``), then the int64
+prefix sums, shared by the ``true_count`` column and the release, and the
+float64 noisy counts.  The ``t`` column, like ``coeffs``' index, is built
+one chunk at a time from a ``range``.
+
 ``main`` builds its argparse parser on its first call and reuses it.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
@@ -33,7 +39,7 @@ from . import certificates, workload
 from .factorization import sqrt_coefficients
 from .ftrl import logistic_task, run_dp_ftrl_logistic_seeds
 from .linalg import format_csv_rows, read_matrix_csv
-from .mechanism import MECHANISM_KINDS, PrivacyBudget, release
+from .mechanism import MECHANISM_KINDS, PrivacyBudget, _release_with_prefix
 
 # Learner noise must not reuse the data-generation stream of the same seed.
 _NOISE_SEED_OFFSET = 2**32
@@ -89,33 +95,39 @@ def _n_max(text: str) -> int:
 def _emit_columns(header: str, row_format: str, columns, out_path: str | None) -> None:
     """Write ``header`` and one ``row_format % row`` line per row of the
     equal-length ``columns``, formatting and writing CHUNK_ROWS rows at a time,
-    to stdout when ``out_path`` is None or ``-``, else to that file."""
+    to stdout when ``out_path`` is None or ``-``, else to that file.  A
+    ``range`` column (an index) becomes an int64 array one chunk at a time."""
     to_stdout = out_path is None or out_path == "-"
     sink = contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8")
     with sink as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
-            fh.write(format_csv_rows(row_format, [c[start : start + CHUNK_ROWS] for c in columns]))
+            chunk = [c[start : start + CHUNK_ROWS] for c in columns]
+            chunk = [np.arange(c.start, c.stop) if isinstance(c, range) else c for c in chunk]
+            fh.write(format_csv_rows(row_format, chunk))
 
 
 def cmd_coeffs(args) -> int:
     coeffs = sqrt_coefficients(args.n)
-    _emit_columns("index,value", "%d,%.17g\n", [np.arange(len(coeffs)), coeffs], args.out)
+    _emit_columns("index,value", "%d,%.17g\n", [range(len(coeffs)), coeffs], args.out)
     return 0
 
 
 def _parse_bits(data: bytes) -> np.ndarray | None:
-    """Bits of a buffer holding only ASCII ``0``/``1``/whitespace with at most
-    one bit per line, else None.  Lines end at ``\\n`` or ``\\r``."""
+    """int8 bits of a buffer holding only ASCII ``0``/``1``/whitespace with
+    at most one bit per line, else None.  Lines end at ``\\n`` or ``\\r``."""
     raw = np.frombuffer(data, dtype=np.uint8)
     cls = _BYTE_CLASS[raw]
     if not np.all(cls):
         return None
-    kept = raw[cls >= 2]  # line ends and bits, in order
+    # line ends and bits, in order; the mask is written over the classes
+    kept = raw[np.greater_equal(cls, 2, out=cls.view(bool))]
+    del cls
     is_bit = kept >= 48
     if np.any(is_bit[1:] & is_bit[:-1]):
         return None
-    bits = kept[is_bit].astype(np.int64) - 48
+    bits = kept[is_bit].view(np.int8)
+    bits -= 48
     return bits if bits.size else None
 
 
@@ -132,11 +144,11 @@ def _read_bits_lines(data: bytes) -> np.ndarray:
         bits.append(int(line))
     if not bits:
         raise ValueError("empty bit stream")
-    return np.array(bits, dtype=np.int64)
+    return np.array(bits, dtype=np.int8)
 
 
 def _read_bits(path: str | None) -> np.ndarray:
-    """The bit stream of file ``path`` (stdin for None or ``-``).
+    """The int8 bit stream of file ``path`` (stdin for None or ``-``).
 
     Input in the documented format is decoded by ``_parse_bits``; anything
     else goes through ``_read_bits_lines``, which also accepts Unicode
@@ -156,9 +168,9 @@ def cmd_count(args) -> int:
     n = args.n if args.n is not None else len(bits)
     if len(bits) < n:
         raise ValueError(f"stream provides {len(bits)} bits but --n={n}")
-    bits = bits[:n]
-    noisy = release(args.mechanism, bits, PrivacyBudget(args.eps, args.delta), args.seed)
-    columns = [np.arange(1, n + 1), np.cumsum(bits), noisy]
+    budget = PrivacyBudget(args.eps, args.delta)
+    true, noisy = _release_with_prefix(args.mechanism, bits[:n], budget, args.seed)
+    columns = [range(1, n + 1), true, noisy]
     _emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, args.out)
     return 0
 

@@ -87,11 +87,13 @@ def sqrt_coefficients(n: int) -> np.ndarray:
     factorial ratio (2k-1)!!/(2k)!!.
     """
     n = _check_int("n", n, 1)
-    terms = np.ones(n)
-    if n > 1:
-        k = np.arange(1, n, dtype=np.float64)
-        terms[1:] = 1.0 - 1.0 / (2.0 * k)
-    return np.cumprod(terms)
+    terms = np.arange(n, dtype=np.float64)
+    k = terms[1:]  # each step below is the float64 operation of 1 - 1/(2k), in place
+    k *= 2.0
+    np.divide(1.0, k, out=k)
+    np.subtract(1.0, k, out=k)
+    terms[0] = 1.0
+    return np.cumprod(terms, out=terms)
 
 
 def double_factorial_ratio(k: int) -> Fraction:
@@ -154,10 +156,18 @@ def _postorder_nodes(ends: np.ndarray, level: int) -> np.ndarray:
 
     Leaf e completes the 2e - popcount(e) nodes inside [1, e]; the ones
     ending at e come last, smallest first, up to size 2^v with 2^v the
-    lowest set bit of e.
+    lowest set bit of e.  Built in place in the result: the only
+    temporaries are the uint8 bit counts.
     """
-    lowest = np.bitwise_count((ends & -ends) - 1).astype(np.int64)
-    return 2 * ends - np.bitwise_count(ends).astype(np.int64) - 1 - (lowest - level)
+    nodes = np.negative(ends)
+    nodes &= ends
+    nodes -= 1
+    lowest = np.bitwise_count(nodes)  # v
+    np.left_shift(ends, 1, out=nodes)
+    nodes -= np.bitwise_count(ends)
+    nodes -= lowest
+    nodes += level - 1
+    return nodes
 
 
 def _dyadic_blocks(n: int):

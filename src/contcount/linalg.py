@@ -184,6 +184,7 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     the row spectra are multiplied in place as coefficient spectrum times
     row spectrum (the product in the other order rounds differently), and a
     1-D ``x`` is a block of one row: a row's result is the same in any block.
+    Once the spectrum exists the function holds no reference to ``coeffs``.
     That rests on how numpy implements multi-row transforms (checked under
     numpy 2.4.6), not on a documented guarantee; only
     ``test_toeplitz_block_rows_equal_one_row_products`` guards it.
@@ -211,6 +212,7 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     p = 1 << (2 * n - 2).bit_length()
     size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
     spectrum = np.fft.rfft(c, size)
+    del c, coeffs  # coefficients handed over as the only reference are freed here
     batch = max(1, _FFT_BATCH_VALUES // spectrum.size)
     for start in range(0, len(rows), batch):
         stop = start + batch

@@ -48,8 +48,8 @@ import numpy as np
 
 from .factorization import (
     Factorization,
-    _dyadic_blocks,
     _next_pow2,
+    _postorder_nodes,
     sqrt_coefficients,
 )
 from .linalg import toeplitz_lower_matvec
@@ -67,6 +67,10 @@ __all__ = [
 # Most standard normals ``monte_carlo_mse`` holds in one block of trials
 # (2 MB of float64), so its memory does not grow with trials * n.
 _BLOCK_VALUES = 2**18
+# Rounds of one tree level ``_binary_noise`` indexes at a time (0.5 MB of
+# node indices and 0.5 MB of node noise per row), so its temporaries do not
+# grow with n.
+_TREE_RUN = 2**16
 
 
 def noise_multiplier(epsilon: float, delta: float) -> float:
@@ -220,10 +224,14 @@ def _normals(seed: int, rows: int, width: int) -> np.ndarray:
 def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
     """Square-root factorization noise, in place: each row of the (b, n)
     normals ``g`` becomes L g_row, then all are scaled by
-    ``multiplier * ||R||_{1->2}``.  Returns ``g``."""
-    coeffs = sqrt_coefficients(g.shape[-1])
-    toeplitz_lower_matvec(coeffs, g, out=g)
-    g *= multiplier * math.sqrt(float(np.sum(coeffs**2)))
+    ``multiplier * ||R||_{1->2}``.  Returns ``g``.  The scale is taken
+    first, so the coefficients go to ``toeplitz_lower_matvec`` as their
+    only reference and are freed once their spectrum exists (CPython 3.11
+    on moves call arguments into the callee)."""
+    held = [sqrt_coefficients(g.shape[-1])]  # popped into the call: no local name keeps them
+    scale = multiplier * math.sqrt(float(np.sum(held[0] ** 2)))
+    toeplitz_lower_matvec(held.pop(), g, out=g)
+    g *= scale
     return g
 
 
@@ -238,17 +246,27 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     """Honaker noise sigma M G^-1 R^T z_row for each row of the (b, 2n' - 1)
     normals ``z``, with R the binary strategy matrix, G = R^T R, M the
     counting matrix and sigma = multiplier * ``_tree_sensitivity(n)``, as in
-    ``_binary_noise``.  Returns a (b, n) array.  No matrix is
-    formed: O(n log n) time and O(n) memory per row.
+    ``_binary_noise``.  Returns a (b, n) view of a (b, n') array.  No matrix
+    is formed: O(n log n) time and O(n) memory per row.
 
     R^T z adds to each leaf the values of its ancestors.  Post-order lists
     a tree as its left subtree, its right subtree, then its root, so the
-    roots are peeled off top down, one level per reshape.  G^-1 is applied
-    bottom-up: on the leaves of a node of size 2^k, the Gram matrix of the
-    node's subtree is 11^T + blockdiag(children), so the children's
-    solution w and u = blockdiag(children)^-1 1 give the node's by
-    Sherman-Morrison, w -= u (1^T w) / (1 + 1^T u) and u /= 1 + 1^T u.  On
-    a full node u is the constant 1 / (2^(k+1) - 1), so a level of full
+    roots at depth d are one strided view of ``z``: one size-2 axis per
+    depth, whose stride is the size of a subtree at that depth (a right
+    child lies one left subtree after its sibling).  Their sums w are
+    written top down into the first leaf of each subtree of the result: a
+    right child's first leaf gets its parent's w plus its root, then a left
+    child's, which holds its parent's, adds its root.  That is the sum
+    w + root of each depth in turn, as in a level-by-level copy of the
+    tree, with no copy.  The result, reshaped to match, has d + 2 axes at
+    depth d, so numpy's limit of 64 axes bounds n' by 2^62.  A draw handed
+    over as the only reference (``release``) is freed before the solve.
+
+    G^-1 is applied bottom-up: on the leaves of a node of size 2^k, the
+    Gram matrix of the node's subtree is 11^T + blockdiag(children), so the
+    children's solution w and u = blockdiag(children)^-1 1 give the node's
+    by Sherman-Morrison, w -= u (1^T w) / (1 + 1^T u) and u /= 1 + 1^T u.
+    On a full node u is the constant 1 / (2^(k+1) - 1), so a level of full
     nodes is one row sum; only the last, ragged node keeps a vector u.
     Every sum runs over the last, contiguous axis, so a row's result does
     not depend on the rows beside it.
@@ -256,12 +274,18 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     rows = z.shape[0]
     full = _next_pow2(n)
     levels = full.bit_length()
-    tree = z  # one subtree per row of tree, row-major over the rows of z
-    w = tree[:, -1]
-    while tree.shape[1] > 1:
-        tree = tree[:, :-1].reshape(-1, tree.shape[1] // 2)
-        w = np.repeat(w, 2) + tree[:, -1]
-    w = w.reshape(rows, full)[:, :n]  # leaves past n are not columns of R
+    w = np.empty((rows, full))
+    w[:, 0] = z[:, -1]  # the root, on the first leaf
+    strides = (z.strides[0],)
+    for d in range(1, levels):
+        span = full >> d  # leaves under a node at depth d
+        strides += ((2 * span - 1) * z.strides[1],)  # nodes in its subtree
+        roots = np.lib.stride_tricks.as_strided(z[:, 2 * span - 2 :], (rows,) + (2,) * d, strides)
+        firsts = w.reshape((rows,) + (2,) * d + (span,))[..., 0]
+        np.add(firsts[..., 0], roots[..., 1], out=firsts[..., 1])
+        firsts[..., 0] += roots[..., 0]
+    z = roots = None  # frees a draw handed over as the only reference before the solve
+    w = w[:, :n]  # leaves past n are not columns of R
     u = np.empty(0)  # u on the leaves of the ragged node of the level below
     for k in range(1, levels):
         size = 1 << k
@@ -284,20 +308,25 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
 def _binary_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     """Binary-mechanism noise over n rounds for each row of the
     (b, 2n' - 1) normals ``z``, which are scaled in place to the node noise.
-    Returns a (b, n) array.
+    Returns a (b, n) view of a (b, n + 1) array.
 
     Round t adds the noise of the popcount(t) nodes covering [1, t], largest
     block first.  Its last block has size lowbit(t), and the others cover
     [1, t - lowbit(t)], a round with a larger lowest set bit, so levels are
     filled from the top down by out[t] = out[t - lowbit(t)] + node noise.
+    Level k writes the rounds 2^k, 3 2^k, ... from the ones 2^k before
+    them, both strided views of ``out``, in runs of ``_TREE_RUN`` rounds:
+    a run's node indices and gathered node noise are the only temporaries.
     O(n) vectorised work per row.
     """
     z *= multiplier * _tree_sensitivity(n)
     out = np.zeros((z.shape[0], n + 1))  # round t in column t; column 0 is the empty prefix
-    for k, _, nodes in _dyadic_blocks(n):
-        size = 1 << k
-        # the rounds 2^k, 3 2^k, ... and the ones 2^k before them, as strided views
-        out[:, size :: 2 * size] = out[:, : n + 1 - size : 2 * size] + z[:, nodes]
+    for k in reversed(range(_next_pow2(n).bit_length())):
+        size, step = 1 << k, 2 << k
+        for first in range(size, n + 1, step * _TREE_RUN):
+            stop = min(first + step * _TREE_RUN, n + 1)
+            nodes = _postorder_nodes(np.arange(first, stop, step), k)
+            np.add(out[:, first - size : stop - size : step], z[:, nodes], out=out[:, first:stop:step])
     return out[:, 1:]
 
 
@@ -376,6 +405,20 @@ def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: in
     return _left_times(fact, z)[0]
 
 
+def _release_with_prefix(kind: str, bits, budget: PrivacyBudget, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix, noisy): the int64 prefix sums of ``bits`` and the noisy
+    counts ``release`` returns, which are their sum with the noise.  The
+    prefix sums are taken once the noise is built, in int64 whatever the
+    dtype of ``bits``."""
+    draw_width, noise = _mechanism(kind)
+    x = _check_bits(bits)
+    n = x.shape[0]
+    out = noise(_normals(_check_int("seed", seed), 1, draw_width(n)), budget.noise_multiplier, n)[0]
+    prefix = np.cumsum(x, dtype=np.int64)
+    out += prefix
+    return prefix, out
+
+
 def release(kind: str, bits, budget: PrivacyBudget, seed: int) -> np.ndarray:
     """Noisy prefix counts of a non-empty 1-D bit stream under mechanism ``kind``:
     ``cumsum(bits)`` plus the kind's noise from ``_MECHANISMS`` on one row
@@ -384,12 +427,7 @@ def release(kind: str, bits, budget: PrivacyBudget, seed: int) -> np.ndarray:
     returns; ``"honaker"`` forms no dense matrix and has no limit on n.
     The dense matrix mechanism is ``matrix_mechanism_run``.
     """
-    draw_width, noise = _mechanism(kind)
-    x = _check_bits(bits)
-    n = x.shape[0]
-    out = noise(_normals(_check_int("seed", seed), 1, draw_width(n)), budget.noise_multiplier, n)[0]
-    out += np.cumsum(x)
-    return out
+    return _release_with_prefix(kind, bits, budget, seed)[1]
 
 
 def monte_carlo_mse(

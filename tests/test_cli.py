@@ -381,7 +381,7 @@ def _reference_read_bits(path):
             bits.append(int(line))
     if not bits:
         raise ValueError("empty bit stream")
-    return np.array(bits, dtype=np.int64)
+    return np.array(bits, dtype=np.int8)
 
 
 def _read_outcome(reader, path):
@@ -827,6 +827,53 @@ def test_writer_matches_percent_writer_across_chunks(tmp_path, n):
     cli._emit_columns("t,true_count,noisy_count", "%d,%d,%.17g\n", columns, str(path))
     want = _reference_emit("t,true_count,noisy_count", "%d,%d,%.17g\n", columns)
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("n", [1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 2 * cli.CHUNK_ROWS + 5])
+def test_writer_range_column_equals_arange_column(tmp_path, n):
+    """A ``range`` column, built one chunk at a time, writes the bytes of
+    the full ``np.arange`` column."""
+    values = np.random.default_rng(n).normal(size=n)
+    for first in (0, 1):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        cli._emit_columns("i,v", "%d,%.17g\n", [np.arange(first, first + n), values], str(want))
+        cli._emit_columns("i,v", "%d,%.17g\n", [range(first, first + n), values], str(got))
+        assert got.read_bytes() == want.read_bytes()
+
+
+# Peak of tracemalloc's traced memory in ``count`` at n = 2^16, in units of
+# 8n bytes (one float64 per round), per mechanism.  What sets each peak:
+# the square root holds the draw and two spectra of about 2n values, the
+# binary mechanism the 2n' - 1 = 2n draw, the n + 1 outputs and one tree
+# level's indices and gathered noise (n/2 each), Honaker the draw and its
+# n' sums.  Measured 5.13, 4.63 and 3.79 (7.01, 6.57 and 7.00 before the
+# prefix sums were shared, the bits held as int8 and the tree noise built
+# without level copies).
+COUNT_PEAK_BOUNDS = {"factorization": 5.5, "binary": 5.0, "honaker": 4.25}
+
+
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_count_peak_traced_memory_is_bounded(tmp_path, kind):
+    """``count`` at n = 2^16 keeps its traced peak under
+    ``COUNT_PEAK_BOUNDS[kind]`` times 8n bytes.  tracemalloc sees numpy's
+    arrays but not pocketfft's internal buffers (a plan and a work array of
+    the transform length), so the square root's true peak is higher."""
+    import tracemalloc
+
+    n = 2**16
+    bits = tmp_path / "bits.txt"
+    bits.write_bytes(b"".join(b"%d\n" % b for b in np.random.default_rng(5).integers(0, 2, n)))
+    args = ["count", "--input", str(bits), "--mechanism", kind, "--out", str(tmp_path / "out.csv")]
+    # a first, shorter run through the same code paths (the FFT one too) does
+    # the imports and set-up that a process pays once
+    assert main(args[:-2] + ["--n", str(TOEPLITZ_DIRECT_MAX + 1), "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COUNT_PEAK_BOUNDS[kind] * 8 * n, peak / (8 * n)
 
 
 def test_writer_keeps_nul_in_percent_s_cells():

@@ -47,6 +47,28 @@ def test_sqrt_coefficients_satisfy_recurrence_exactly():
         assert coeffs[k] == rebuilt
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 513, 4097, 10**5 + 3])
+def test_sqrt_coefficients_equal_out_of_place_formula(n):
+    """The in-place build gives the bytes of the formula it replaced."""
+    terms = np.ones(n)
+    k = np.arange(1, n, dtype=np.float64)
+    terms[1:] = 1.0 - 1.0 / (2.0 * k)
+    assert sqrt_coefficients(n).tobytes() == np.cumprod(terms).tobytes()
+
+
+@pytest.mark.parametrize("full", [1, 2, 8, 1024])
+def test_postorder_nodes_match_index_oracle(full):
+    from contcount.factorization import _postorder_nodes
+
+    for level in range(full.bit_length()):
+        size = 1 << level
+        ends = np.arange(size, full + 1, size, dtype=np.int64)
+        want = [postorder_index(int(e) - size + 1, int(e), full) for e in ends]
+        nodes = _postorder_nodes(ends, level)
+        assert nodes.dtype == np.int64 and nodes.tolist() == want
+        assert ends.tolist() == list(range(size, full + 1, size))  # input left as it was
+
+
 def test_sqrt_coefficients_strictly_decreasing_in_unit_interval():
     coeffs = sqrt_coefficients(500)
     assert np.all(np.diff(coeffs) < 0)

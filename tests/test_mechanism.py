@@ -256,6 +256,20 @@ def test_binary_mechanism_accepts_bool_and_float_bits():
     assert np.array_equal(release("binary", x.astype(float), BUDGET, seed=8), want)
 
 
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+@pytest.mark.parametrize("n", [1, 7, 512, 513, 4097])
+def test_release_bytes_do_not_depend_on_bit_dtype(kind, n):
+    """int8 streams (what the CLI reader returns), uint8, bool and int64
+    streams release the same bytes, with the prefix sums taken in int64."""
+    x = _generator(n).integers(0, 2, n)
+    want = release(kind, x.astype(np.int64), BUDGET, 21).tobytes()
+    for dtype in (np.int8, np.uint8, bool):
+        assert release(kind, x.astype(dtype), BUDGET, 21).tobytes() == want, dtype
+        prefix, noisy = mechanism._release_with_prefix(kind, x.astype(dtype), BUDGET, 21)
+        assert prefix.dtype == np.int64 and np.array_equal(prefix, np.cumsum(x))
+        assert noisy.tobytes() == want
+
+
 def test_binary_mechanism_rejects_non_bits():
     with pytest.raises(ValueError):
         release("binary", np.array([0, 2]), BUDGET, seed=0)
