@@ -39,7 +39,7 @@ from . import certificates, workload
 from .factorization import sqrt_coefficients
 from .ftrl import logistic_task, run_dp_ftrl_logistic_seeds
 from .linalg import format_csv_rows, read_matrix_csv
-from .mechanism import MECHANISM_KINDS, PrivacyBudget, _release_with_prefix
+from .mechanism import _MECHANISMS, MECHANISM_KINDS, PrivacyBudget, _release_with_prefix
 
 # Learner noise must not reuse the data-generation stream of the same seed.
 _NOISE_SEED_OFFSET = 2**32
@@ -56,6 +56,8 @@ _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[[9, 11, 12, 28, 29, 30, 31, 32]] = 1
 _BYTE_CLASS[[10, 13]] = 2
 _BYTE_CLASS[[48, 49]] = 3
+# Bytes ``_parse_bits`` classifies at a time: its temporaries stay this size.
+_PARSE_WINDOW = 2**16
 
 
 # Largest ``compare --n-max``: its octaves then end at n = 2^1014.  From
@@ -115,20 +117,34 @@ def cmd_coeffs(args) -> int:
 
 def _parse_bits(data: bytes) -> np.ndarray | None:
     """int8 bits of a buffer holding only ASCII ``0``/``1``/whitespace with
-    at most one bit per line, else None.  Lines end at ``\\n`` or ``\\r``."""
+    at most one bit per line, else None.  Lines end at ``\\n`` or ``\\r``.
+
+    The buffer is read ``_PARSE_WINDOW`` bytes at a time, so the only
+    temporaries are a window's; the bits go into one array of
+    (len + 1) // 2 values, the most a buffer can hold with a line end
+    between every two bits."""
     raw = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS[raw]
-    if not np.all(cls):
-        return None
-    # line ends and bits, in order; the mask is written over the classes
-    kept = raw[np.greater_equal(cls, 2, out=cls.view(bool))]
-    del cls
-    is_bit = kept >= 48
-    if np.any(is_bit[1:] & is_bit[:-1]):
-        return None
-    bits = kept[is_bit].view(np.int8)
+    bits = np.empty((raw.size + 1) // 2, dtype=np.int8)
+    count, after_bit = 0, False  # bits so far; whether the last line end or bit was a bit
+    for start in range(0, raw.size, _PARSE_WINDOW):
+        window = raw[start : start + _PARSE_WINDOW]
+        cls = _BYTE_CLASS[window]
+        if not np.all(cls):
+            return None
+        # line ends and bits, in order; the mask is written over the classes
+        kept = window[np.greater_equal(cls, 2, out=cls.view(bool))]
+        if not kept.size:
+            continue
+        is_bit = kept >= 48
+        if (after_bit and is_bit[0]) or np.any(is_bit[1:] & is_bit[:-1]):
+            return None
+        after_bit = bool(is_bit[-1])
+        found = kept[is_bit]
+        bits[count : count + found.size] = found.view(np.int8)
+        count += found.size
+    bits = bits[:count]
     bits -= 48
-    return bits if bits.size else None
+    return bits if count else None
 
 
 def _read_bits_lines(data: bytes) -> np.ndarray:
@@ -181,7 +197,7 @@ def cmd_compare(args) -> int:
     ns = [2**k for k in range(1, args.n_max.bit_length())]
     upper = np.array([workload.err_upper_bound(n, fact_budget) for n in ns])
     lower = np.array([workload.err_lower_bound_matrix_mech(n, fact_budget) for n in ns])
-    binary = np.array([workload.binary_expected_err(n, bin_budget) for n in ns])
+    binary = np.array([_MECHANISMS["binary"].expected_mse(n, bin_budget) for n in ns])
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds the guaranteed upper bound")
     with np.errstate(divide="ignore", invalid="ignore"):  # --eps-fact inf: a zero bound

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mechanism
-from .mechanism import PrivacyBudget, _generator, _normals, _sqrt_noise
+from .mechanism import _MECHANISMS, PrivacyBudget, _generator, _normals
 from .workload import _check_int, _upper_log_factor
 
 __all__ = [
@@ -214,7 +214,7 @@ class DpFtrlLearner:
 
         # standard_normal((n, d)) from PCG64(seed); column j is the noise of coordinate j
         self.noise = _normals(self.seed, 1, n * d).reshape(n, d)
-        _sqrt_noise(self.noise.T, budget.noise_multiplier * kappa)
+        _MECHANISMS["factorization"].noise(self.noise.T, budget.noise_multiplier * kappa, n)
         # every |s_t[i]| is at most n kappa + max |noise|; twice that covers
         # rounding, so below this check the iterate -s_t / lam never overflows
         peak = 2.0 * (n * self.kappa + max(float(self.noise.max()), -float(self.noise.min())))

@@ -1,14 +1,15 @@
 """Private counting mechanisms and their Monte-Carlo error harness.
 
 Every mechanism releases the exact prefix sums plus correlated noise L z.
-``_MECHANISMS`` maps each kind to its noise: a function from a (b, width)
-block of standard normals, one row per release, to b noise rows:
-``_sqrt_noise`` (square-root Toeplitz), ``_binary_noise`` (the tree, in
-O(n) by out[t] = out[t - lowbit(t)] + node noise) or ``_honaker_noise``
-(Honaker's tree estimator, with no dense matrix).  ``release`` adds the
-prefix sums to one row of it; ``monte_carlo_mse`` maps blocks of trials to
-noise only.  An explicit dense factorization goes through ``_left_times``:
-L (R x + z) in ``matrix_mechanism_run``, L z in ``monte_carlo_mse``.
+``_MECHANISMS`` maps each kind to a ``_Mechanism`` record of functions of
+the horizon n: ``draw_width``, the normals one release draws; ``noise``,
+from a (b, width) block of them to b noise rows; ``sensitivity``,
+||R||_{1->2}; and ``expected_mse``, the exact mean squared error.  The noise
+is ``_sqrt_noise`` (square-root Toeplitz), ``_binary_noise`` (the tree, by
+out[t] = out[t - lowbit(t)] + node noise) or ``_honaker_noise`` (Honaker's
+estimator, with no matrix).  ``release`` adds the prefix sums to one row of
+it; ``monte_carlo_mse`` maps blocks of trials to noise only, and a dense
+factorization's L z.  ``matrix_mechanism_run`` gives L (R x + z).
 
 Noise calibration follows the Gaussian mechanism: a strategy matrix R with
 maximum column norm s needs per-coordinate noise of standard deviation
@@ -43,9 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import factorization, workload
 from .factorization import (
     Factorization,
     _next_pow2,
@@ -229,10 +232,21 @@ def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
     only reference and are freed once their spectrum exists (CPython 3.11
     on moves call arguments into the callee)."""
     held = [sqrt_coefficients(g.shape[-1])]  # popped into the call: no local name keeps them
-    scale = multiplier * math.sqrt(float(np.sum(held[0] ** 2)))
+    scale = multiplier * _sqrt_sensitivity(held[0])
     toeplitz_lower_matvec(held.pop(), g, out=g)
     g *= scale
     return g
+
+
+def _sqrt_sensitivity(coeffs: np.ndarray) -> float:
+    """||R||_{1->2} of the square-root factor with coefficients ``coeffs``: its last row's norm."""
+    return math.sqrt(float(np.sum(coeffs**2)))
+
+
+def _sqrt_expected_mse(n: int, budget: PrivacyBudget) -> float:  # C^2 ||R||_{1->2}^2 ||L||_F^2 / n
+    coeffs = sqrt_coefficients(n)
+    c, s = budget.noise_multiplier, _sqrt_sensitivity(coeffs)
+    return c * c * s * s * factorization.factor_frobenius_sq(coeffs) / n
 
 
 def _tree_sensitivity(n: int) -> float:
@@ -246,8 +260,8 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     """Honaker noise sigma M G^-1 R^T z_row for each row of the (b, 2n' - 1)
     normals ``z``, with R the binary strategy matrix, G = R^T R, M the
     counting matrix and sigma = multiplier * ``_tree_sensitivity(n)``, as in
-    ``_binary_noise``.  Returns a (b, n) view of a (b, n') array.  No matrix
-    is formed: O(n log n) time and O(n) memory per row.
+    ``_binary_noise``.  Returns a (b, n) array.  No matrix is formed:
+    O(n log n) time and O(n) memory per row.
 
     R^T z adds to each leaf the values of its ancestors.  Post-order lists
     a tree as its left subtree, its right subtree, then its root, so the
@@ -285,7 +299,7 @@ def _honaker_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
         np.add(firsts[..., 0], roots[..., 1], out=firsts[..., 1])
         firsts[..., 0] += roots[..., 0]
     z = roots = None  # frees a draw handed over as the only reference before the solve
-    w = w[:, :n]  # leaves past n are not columns of R
+    w = w[:, :n].copy()  # leaves past n are not columns of R; the n' sums are freed
     u = np.empty(0)  # u on the leaves of the ragged node of the level below
     for k in range(1, levels):
         size = 1 << k
@@ -330,31 +344,40 @@ def _binary_noise(z: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     return out[:, 1:]
 
 
-def _left_times(fact: Factorization, v: np.ndarray) -> np.ndarray:
-    """L v_row for each row of the (b, p) block ``v``.  The stacked
-    ``matmul`` makes one matrix-vector product per row, the same product
-    ``fact.left @ v_row`` makes; one matrix-matrix product for the block
-    would round differently."""
-    return np.matmul(fact.left, v[..., None])[..., 0]
+def _honaker_expected_mse(n: int, budget: PrivacyBudget) -> float:
+    raise ValueError(f"Honaker's mechanism has no closed-form expected MSE (n={n}); estimate it by monte_carlo_mse")
 
 
-def _tree_width(n: int) -> int:
-    return 2 * _next_pow2(n) - 1
+class _Mechanism(NamedTuple):
+    """A mechanism kind: ``noise`` overwrites its normals; ``expected_mse`` refuses an n with no closed form."""
+
+    draw_width: Callable[[int], int]
+    noise: Callable[[np.ndarray, float, int], np.ndarray]
+    sensitivity: Callable[[int], float]
+    expected_mse: Callable[[int, PrivacyBudget], float]
 
 
-# kind -> (draw_width, noise): the standard normals one release over n
-# rounds draws, draw_width(n), and noise(z, c, n), the (b, n) noise of the
-# (b, draw_width(n)) normals z (overwritten) at noise multiplier c.
 _MECHANISMS = {
-    "factorization": (lambda n: n, lambda z, c, n: _sqrt_noise(z, c)),
-    "binary": (_tree_width, _binary_noise),
-    "honaker": (_tree_width, _honaker_noise),
+    "factorization": _Mechanism(
+        lambda n: n,
+        lambda z, c, n: _sqrt_noise(z, c),
+        lambda n: _sqrt_sensitivity(sqrt_coefficients(n)),
+        _sqrt_expected_mse,
+    ),
+    "binary": _Mechanism(
+        lambda n: 2 * _next_pow2(n) - 1,
+        _binary_noise,
+        _tree_sensitivity,
+        lambda n, budget: workload.binary_expected_err(n, budget),  # looked up at each call: it may be patched
+    ),
 }
+# the binary tree's draw and strategy matrix R, with Honaker's estimator as noise
+_MECHANISMS["honaker"] = _MECHANISMS["binary"]._replace(noise=_honaker_noise, expected_mse=_honaker_expected_mse)
 MECHANISM_KINDS = tuple(_MECHANISMS)
 
 
-def _mechanism(kind: str):
-    """The (draw_width, noise) entry of ``kind`` in ``_MECHANISMS``."""
+def _mechanism(kind: str) -> _Mechanism:
+    """The record of ``kind`` in ``_MECHANISMS``."""
     if kind not in MECHANISM_KINDS:
         raise ValueError(f"kind must be one of {MECHANISM_KINDS}, got {kind!r}")
     return _MECHANISMS[kind]
@@ -376,7 +399,8 @@ class StreamingCounter:
         self.seed = _check_int("seed", seed)
         self.t = 0
         self.running_sum = 0
-        self.noise = _sqrt_noise(_normals(self.seed, 1, self.n), budget.noise_multiplier)[0]
+        sqrt = _MECHANISMS["factorization"]
+        self.noise = sqrt.noise(_normals(self.seed, 1, sqrt.draw_width(self.n)), budget.noise_multiplier, self.n)[0]
 
     def step(self, x_t: int) -> float:
         """Consume one stream bit and return the noisy running count."""
@@ -402,7 +426,7 @@ def matrix_mechanism_run(fact: Factorization, x, budget: PrivacyBudget, seed: in
         raise ValueError(f"stream length {x.shape} does not match factorization size {fact.n}")
     z *= budget.noise_multiplier * fact.sensitivity
     z += fact.right @ x
-    return _left_times(fact, z)[0]
+    return fact.left @ z[0]
 
 
 def _release_with_prefix(kind: str, bits, budget: PrivacyBudget, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,10 +434,10 @@ def _release_with_prefix(kind: str, bits, budget: PrivacyBudget, seed: int) -> t
     counts ``release`` returns, which are their sum with the noise.  The
     prefix sums are taken once the noise is built, in int64 whatever the
     dtype of ``bits``."""
-    draw_width, noise = _mechanism(kind)
+    mech = _mechanism(kind)
     x = _check_bits(bits)
     n = x.shape[0]
-    out = noise(_normals(_check_int("seed", seed), 1, draw_width(n)), budget.noise_multiplier, n)[0]
+    out = mech.noise(_normals(_check_int("seed", seed), 1, mech.draw_width(n)), budget.noise_multiplier, n)[0]
     prefix = np.cumsum(x, dtype=np.int64)
     out += prefix
     return prefix, out
@@ -452,25 +476,26 @@ def monte_carlo_mse(
     n = _check_int("horizon", n, 1)
     trials = _check_int("trials", trials, 1)
     seed = _check_int("seed", seed)
-    draw_width, noise = _mechanism(kind)
-    width = draw_width(n)
+    mech = _mechanism(kind)
     if fact is not None:
         if kind != "honaker":
             raise ValueError(f"an explicit factorization is only used by 'honaker', not {kind!r}")
         if fact.n != n:
             raise ValueError(f"horizon {n} does not match factorization size {fact.n}")
-        width = fact.right.shape[0]
-
-        def noise(z, c, n):
-            z *= c * fact.sensitivity
-            return _left_times(fact, z)
-
+        # the dense matrix mechanism: L z_row, one matrix-vector product per row
+        mech = _Mechanism(
+            lambda n: fact.right.shape[0],
+            lambda z, c, n: np.matmul(fact.left, np.multiply(z, c * fact.sensitivity, out=z)[..., None])[..., 0],
+            lambda n: fact.sensitivity,
+            lambda n, budget: factorization.expected_mse(fact, budget),
+        )
+    width = mech.draw_width(n)
     rows = max(1, _BLOCK_VALUES // width)
 
     per_trial = np.empty(trials)
     for start in range(0, trials, rows):
         z = _normals(seed + start, min(rows, trials - start), width)
-        block = noise(z, budget.noise_multiplier, n)
+        block = mech.noise(z, budget.noise_multiplier, n)
         # a row-wise mean: each trial's pairwise sum runs over its own row
         per_trial[start : start + len(z)] = np.mean(block**2, axis=1)
 

@@ -14,7 +14,11 @@ Run from the repository root to rewrite the file:
     PYTHONPATH=src python tests/record_golden_outputs.py
 
 It prints every case whose digest changed.  A change that moves output
-bytes on purpose reruns it and lists those cases.
+bytes on purpose reruns it and lists those cases.  With ``--check`` the
+file is only read: the script lists each changed, new or dropped case and
+exits 1 if there is one, 0 if every byte is as recorded:
+
+    PYTHONPATH=src python tests/record_golden_outputs.py --check
 """
 
 import hashlib
@@ -35,6 +39,9 @@ GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
 # ``count`` reads its first n bits from one file, written by ``compute_all``
 BITS = "{bits}"
 BITS_LENGTH = 32769
+# ``certify`` reads the matrix of its case's "matrix" shape, written by
+# ``write_matrix``
+MATRIX = "{matrix}"
 # the direct/FFT switch (512), the FFT length families and the tree's
 # power-of-two edges
 COUNT_SIZES = (1, 2, 7, 512, 513, 4096, 4097, 32768, 32769)
@@ -52,6 +59,11 @@ CASES = {
         }
         for kind in ("factorization", "binary", "honaker")
         for n in COUNT_SIZES
+    },
+    **{f"coeffs n={n}": {"argv": ["coeffs", "--n", str(n)]} for n in (513, 4097)},
+    **{
+        f"certify {rows}x{cols}": {"argv": ["certify", "--matrix", MATRIX], "matrix": [rows, cols]}
+        for rows, cols in ((16, 16), (48, 32))
     },
     "compare n-max=2^10": {"argv": ["compare", "--n-max", str(2**10)]},
     "compare n-max=2^30": {"argv": ["compare", "--n-max", str(2**30)]},
@@ -74,11 +86,25 @@ def write_bits(path: Path) -> None:
     path.write_text("".join(f"{(i * 0x9E3779B97F4A7C15 >> 40) & 1}\n" for i in range(BITS_LENGTH)))
 
 
+def write_matrix(path: Path, rows: int, cols: int) -> None:
+    """A fixed rows x cols matrix: entry (i, j) is h / 4096 - 8, with h bits
+    40-55 of (i cols + j) times the 64-bit golden-ratio constant, so every
+    entry is a float64 that its ``repr`` writes exactly."""
+    lines = (
+        ",".join(repr(((k * 0x9E3779B97F4A7C15 >> 40) & 0xFFFF) / 4096 - 8) for k in range(i * cols, (i + 1) * cols))
+        for i in range(rows)
+    )
+    path.write_text("".join(line + "\n" for line in lines))
+
+
 def compute(case: dict, bits: Path, out: Path) -> str:
     """The digest of one case: sha256 of a CLI call's ``--out`` file, or a
     Monte-Carlo (estimate, stderr) as two ``float.hex`` strings."""
     if "argv" in case:
-        argv = [str(bits) if arg == BITS else arg for arg in case["argv"]]
+        matrix = out.with_name("matrix.csv")
+        if "matrix" in case:
+            write_matrix(matrix, *case["matrix"])
+        argv = [{BITS: str(bits), MATRIX: str(matrix)}.get(arg, arg) for arg in case["argv"]]
         if cli.main([*argv, "--out", str(out)]) != 0:
             raise RuntimeError(f"{argv} failed")
         return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -103,14 +129,22 @@ def environment() -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args not in ([], ["--check"]):
+        print("usage: record_golden_outputs.py [--check]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_all(Path(tmp))
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {"cases": {}}
+    moved = [f"dropped: {name}" for name in old["cases"] if name not in CASES]
     for name, digest in digests.items():
         before = old["cases"].get(name, {}).get("digest")
         if before != digest:
-            print(f"{'changed' if before else 'new'}: {name}")
+            moved.append(f"{'changed' if before else 'new'}: {name}")
+    print("\n".join(moved) if moved else "every case matches its recorded digest")
+    if args == ["--check"]:
+        return 1 if moved else 0
     # one line per case, so a changed digest is a one-line diff
     cases = ",\n".join(
         f"  {json.dumps(name)}: {json.dumps({**case, 'digest': digests[name]})}" for name, case in CASES.items()

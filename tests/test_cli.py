@@ -434,6 +434,43 @@ def test_read_bits_matches_line_reader_random(text):
         _assert_reader_parity(text.encode(), Path(tmp) / "bits.txt")
 
 
+# buffers whose bits, line ends or whitespace straddle a small window's edges
+WINDOW_CASES = [b"1 \t 0\n", b"1\n \t 0\n", b"0\r\n1\r\n0", b"1" + b" " * 9 + b"1\n", b"  \n\n1"]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5])
+@pytest.mark.parametrize("data", READER_CORPUS + WINDOW_CASES)
+def test_read_bits_matches_line_reader_across_windows(monkeypatch, tmp_path, window, data):
+    monkeypatch.setattr(cli, "_PARSE_WINDOW", window)
+    _assert_reader_parity(data, tmp_path / "bits.txt")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.text(alphabet="01 \t\r\n", max_size=40), st.integers(1, 7))
+def test_read_bits_matches_line_reader_random_windows(text, window):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PARSE_WINDOW", window)
+        _assert_reader_parity(text.encode(), Path(tmp) / "bits.txt")
+
+
+def test_read_bits_peak_traced_memory_is_bounded(tmp_path):
+    """Reading 2^20 bits holds the file's bytes, the bits and one window's
+    temporaries: at most 1 MiB above the file and the bits."""
+    import tracemalloc
+
+    path = tmp_path / "bits.txt"
+    path.write_bytes(b"".join(b"%d\n" % b for b in np.random.default_rng(6).integers(0, 2, 2**20)))
+    cli._read_bits(str(path))  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        bits = cli._read_bits(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.size == 2**20
+    assert peak <= path.stat().st_size + bits.size + 2**20, peak / 2**20
+
+
 def _reference_count_csv(bits, noisy):
     """The per-row formatter that ``count`` must reproduce byte for byte."""
     true = np.cumsum(bits)

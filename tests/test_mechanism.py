@@ -11,12 +11,14 @@ import pytest
 from contcount import mechanism
 from contcount.factorization import (
     DENSE_LIMIT,
+    binary_factorization,
+    binary_right_factor,
     expected_mse,
     honaker_left,
     sqrt_coefficients,
     sqrt_factorization,
 )
-from contcount.linalg import TOEPLITZ_DIRECT_MAX, lower_toeplitz, toeplitz_lower_matvec
+from contcount.linalg import TOEPLITZ_DIRECT_MAX, col_norm_1to2, lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import (
     MECHANISM_KINDS,
     PrivacyBudget,
@@ -374,6 +376,35 @@ def test_release_rejects_unknown_kind():
 def test_mechanism_kinds_are_the_dispatch_table():
     assert MECHANISM_KINDS == ("factorization", "binary", "honaker")
     assert MECHANISM_KINDS == tuple(mechanism._MECHANISMS)
+
+
+def test_mechanism_records_match_dense_factorizations():
+    """Each record's ||R||_{1->2} and exact MSE against the dense factor
+    matrices: the trees bit for bit, the square root to rounding."""
+    records = mechanism._MECHANISMS
+    for n in [*range(1, 301), 513, 1024, 1025]:
+        tree = col_norm_1to2(binary_right_factor(n))
+        assert records["binary"].sensitivity(n) == records["honaker"].sensitivity(n) == tree
+        sqrt = sqrt_factorization(n)
+        assert math.isclose(records["factorization"].sensitivity(n), col_norm_1to2(sqrt.right), rel_tol=1e-13)
+        assert math.isclose(records["factorization"].expected_mse(n, BUDGET), expected_mse(sqrt, BUDGET), rel_tol=1e-12)
+        if n & (n - 1):
+            with pytest.raises(ValueError, match=f"n must be a power of two, got {n}"):
+                records["binary"].expected_mse(n, BUDGET)
+        else:
+            dense = expected_mse(binary_factorization(n), BUDGET)
+            assert math.isclose(records["binary"].expected_mse(n, BUDGET), dense, rel_tol=1e-12)
+        with pytest.raises(ValueError, match=r"Honaker's mechanism has no closed-form expected MSE"):
+            records["honaker"].expected_mse(n, BUDGET)
+
+
+def test_honaker_release_owns_n_values():
+    # the leaf sums are computed over the next power of two, 2^17 here
+    n = 2**16 + 1
+    out = release("honaker", np.zeros(n, dtype=np.int8), BUDGET, seed=3)
+    while out.base is not None:
+        out = out.base
+    assert out.size == n
 
 
 @pytest.mark.parametrize("kind", ["laplace", "Binary", "", None, ["binary"]])
