@@ -53,17 +53,8 @@ PINV_RTOL = 1e-12
 # reciprocals overflow float64.
 PINV_ATOL = 1.0 / np.finfo(np.float64).max
 
-# Largest n that ``toeplitz_lower_matvec`` convolves directly.  Medians of
-# a one-row call on the 2-vCPU Xeon, direct against FFT: 14.9 / 19.4 us at
-# n = 384, 25.5 / 21.6 at 512, 53.1 / 27.9 at 768.  Per row of a 20-row
-# block, whose batched FFT calls serve every row, the FFT is ahead from
-# n = 16 on: 1.4 / 0.8 us there, 7.9 / 2.9 at 256, 21.4 / 5.2 at 512.  The
-# threshold stays where one-row calls cross, since moving it would change
-# the output bytes of every n in between.
-TOEPLITZ_DIRECT_MAX = 512
-
-# Spectrum values in one batch of rows of an FFT-path block (1 MB of
-# complex128): a batch is one rfft, one multiply and one irfft call.
+# Spectrum values in one batch of rows of a block (1 MB of complex128): a
+# batch is one rfft, one multiply and one irfft call.
 _FFT_BATCH_VALUES = 2**16
 
 
@@ -174,17 +165,18 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
     to ``x``, or to each row of a (b, n) block ``x``.
 
     y[t] = sum_{j <= t} coeffs[t - j] * x[j], i.e. the leading ``n`` entries
-    of the convolution of ``coeffs`` with ``x``.  Direct convolution is used
-    up to ``TOEPLITZ_DIRECT_MAX`` entries; beyond that a real FFT whose
-    length is the smallest 2^k, 3 * 2^(k-2) or 5 * 2^(k-3) that holds all
-    2n - 1 terms.  The coefficient spectrum is computed once per call.  A
-    block's rows are transformed in batches of about ``_FFT_BATCH_VALUES``
-    spectrum values, one ``rfft`` and one ``irfft`` along the last axis
-    each, which numpy computes row by row as it computes a 1-D transform;
-    the row spectra are multiplied in place as coefficient spectrum times
-    row spectrum (the product in the other order rounds differently), and a
-    1-D ``x`` is a block of one row: a row's result is the same in any block.
-    Once the spectrum exists the function holds no reference to ``coeffs``.
+    of the convolution of ``coeffs`` with ``x``, by a real FFT at every n.
+    Its length is the smallest 2^k, 3 * 2^(k-2) or 5 * 2^(k-3) that holds
+    all 2n - 1 terms (1 at n = 1).  Non-finite ``coeffs`` or ``x`` are
+    refused, since one inf entry would turn every output into NaN.  The
+    coefficient spectrum is computed once per call.  A block's rows are
+    transformed in batches of about ``_FFT_BATCH_VALUES`` spectrum values,
+    one ``rfft`` and one ``irfft`` along the last axis each, which numpy
+    computes row by row as it computes a 1-D transform; the row spectra are
+    multiplied in place as coefficient spectrum times row spectrum (the
+    product in the other order rounds differently), and a 1-D ``x`` is a
+    block of one row: a row's result is the same in any block.  Once the
+    spectrum exists the function holds no reference to ``coeffs``.
     That rests on how numpy implements multi-row transforms (checked under
     numpy 2.4.6), not on a documented guarantee; only
     ``test_toeplitz_block_rows_equal_one_row_products`` guards it.
@@ -200,15 +192,14 @@ def toeplitz_lower_matvec(coeffs, x, out=None) -> np.ndarray:
         raise ValueError(f"length mismatch: {n} coefficients vs {v.shape[-1]} inputs")
     if n == 0:
         raise ValueError("empty input")
+    for name, a in (("coeffs", c), ("x", v)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} entries must be finite")
     if out is None:
         out = np.empty(v.shape)
     elif out.shape != v.shape or out.dtype != np.float64:
         raise ValueError(f"out must be float64 of shape {v.shape}, got {out.dtype} of shape {out.shape}")
     rows, ys = np.atleast_2d(v), np.atleast_2d(out)
-    if n <= TOEPLITZ_DIRECT_MAX:
-        for row, y in zip(rows, ys):
-            y[...] = np.convolve(c, row)[:n]
-        return out
     p = 1 << (2 * n - 2).bit_length()
     size = min(s for s in (p, 3 * p // 4, 5 * p // 8) if s >= 2 * n - 1)
     spectrum = np.fft.rfft(c, size)

@@ -42,9 +42,10 @@ BITS_LENGTH = 32769
 # ``certify`` reads the matrix of its case's "matrix" shape, written by
 # ``write_matrix``
 MATRIX = "{matrix}"
-# the direct/FFT switch (512), the FFT length families and the tree's
-# power-of-two edges
-COUNT_SIZES = (1, 2, 7, 512, 513, 4096, 4097, 32768, 32769)
+# the square root's FFT length families at small n (lengths 1, 3, 5, 16 and
+# 48 at n = 1, 2, 3, 7 and 24), the FFT length seam at 512 / 513 (lengths
+# 1024 / 1280) and at 4096 / 4097, and the tree's power-of-two edges
+COUNT_SIZES = (1, 2, 3, 7, 24, 512, 513, 4096, 4097, 32768, 32769)
 MONTE_CARLO_BUDGET = PrivacyBudget(1.0, 1e-10)
 
 

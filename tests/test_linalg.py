@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from contcount import linalg
 from contcount.linalg import (
-    TOEPLITZ_DIRECT_MAX,
     as_matrix,
     col_norm_1to2,
     format_csv_rows,
@@ -164,7 +163,7 @@ def test_toeplitz_matvec_length_mismatch():
 
 def test_toeplitz_matvec_matches_dense_1024():
     rng = np.random.default_rng(3)
-    for n in (17, 257, 1024):
+    for n in (*range(1, 65), 257, 300, 512, 1024):
         c = rng.normal(size=n)
         x = rng.normal(size=n)
         dense = lower_toeplitz(c) @ x
@@ -174,9 +173,9 @@ def test_toeplitz_matvec_matches_dense_1024():
 
 def test_toeplitz_fft_path_matches_direct():
     rng = np.random.default_rng(4)
-    # above the direct-convolution threshold; the FFT lengths of the last
-    # three are 5 * 2^11, 3 * 2^12 and 2^14
-    for n in (TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 5000, 6000, 8192):
+    # FFT lengths of every family from 1 up; those of the last three are
+    # 5 * 2^11, 3 * 2^12 and 2^14
+    for n in (*range(1, 65), 300, 512, 513, 1024, 4096, 5000, 6000, 8192):
         c = rng.normal(size=n) / np.arange(1, n + 1)
         x = rng.normal(size=n)
         fast = toeplitz_lower_matvec(c, x)
@@ -190,25 +189,22 @@ def _fft_size(n):
 
 
 def _one_row_toeplitz(c, x):
-    """The one-row product as it was computed before blocks: direct up to
-    the threshold, else the coefficient spectrum times the row's."""
+    """The one-row product as it was computed before blocks: the coefficient
+    spectrum times the row's, by 1-D transforms."""
     n = len(c)
-    if n <= TOEPLITZ_DIRECT_MAX:
-        return np.convolve(c, x)[:n]
     size = _fft_size(n)
     spectrum = np.fft.rfft(c, size)
     spectrum *= np.fft.rfft(x, size)
     return np.fft.irfft(spectrum, size)[:n]
 
 
-# both ends of the direct-to-FFT switch, FFT lengths of each form (1280 =
-# 5 * 2^8, 2048 = 2^11, 8192 = 2^13, 10240 = 5 * 2^11, 12288 = 3 * 2^12),
-# and lengths of 32768 and more (2^15, 5 * 2^13, 3 * 2^14, 5 * 2^14), from
-# which numpy reuses a temporary spectrum of 256 KB in place for
-# ``spectrum * rfft(row)``, taking the product in the other order
-TOEPLITZ_EDGES = [
-    TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097, 6000, 16384, 16385, 20481, 2**15 + 1
-]
+# FFT lengths of each form from the smallest (1, 3, 5, 16, 32, 48, 640,
+# 1024 at n = 1, 2, 3, 7, 16, 24, 300, 512), the seam at 512 / 513 (1024 /
+# 1280 = 5 * 2^8), 2048 = 2^11, 8192 = 2^13, 10240 = 5 * 2^11, 12288 =
+# 3 * 2^12, and lengths of 32768 and more (2^15, 5 * 2^13, 3 * 2^14,
+# 5 * 2^14), from which numpy reuses a temporary spectrum of 256 KB in place
+# for ``spectrum * rfft(row)``, taking the product in the other order
+TOEPLITZ_EDGES = [1, 2, 3, 7, 16, 24, 300, 512, 513, 1024, 4096, 4097, 6000, 16384, 16385, 20481, 2**15 + 1]
 
 
 @pytest.mark.parametrize("n", TOEPLITZ_EDGES)
@@ -248,6 +244,14 @@ def test_toeplitz_matvec_shapes():
     for out in (np.empty((2, 2)), np.empty((3, 2), dtype=np.int64), np.empty(2)):
         with pytest.raises(ValueError, match="out must be float64"):
             toeplitz_lower_matvec(c, np.ones((3, 2)), out=out)
+    # refused: through the FFT, one non-finite entry makes every output NaN
+    for x in (np.ones(600), np.ones((3, 600))):
+        with pytest.raises(ValueError, match="coeffs entries must be finite"):
+            toeplitz_lower_matvec(np.r_[1.0, np.nan, np.zeros(598)], x)
+        bad = x.copy()
+        bad[..., 0] = np.inf
+        with pytest.raises(ValueError, match="x entries must be finite"):
+            toeplitz_lower_matvec(np.ones(600), bad)
 
 
 def test_format_csv_rows_of_no_rows():

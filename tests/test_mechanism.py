@@ -18,7 +18,7 @@ from contcount.factorization import (
     sqrt_coefficients,
     sqrt_factorization,
 )
-from contcount.linalg import TOEPLITZ_DIRECT_MAX, col_norm_1to2, lower_toeplitz, toeplitz_lower_matvec
+from contcount.linalg import col_norm_1to2, lower_toeplitz, toeplitz_lower_matvec
 from contcount.mechanism import (
     MECHANISM_KINDS,
     PrivacyBudget,
@@ -351,9 +351,7 @@ def test_monte_carlo_rejects_bad_kind():
 
 
 @pytest.mark.parametrize("seed", [0, 9])
-@pytest.mark.parametrize(
-    "n", [1, 2, 7, 4096, 4097, 5000, 2**17, TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024]
-)
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 4097, 5000, 2**17, 512, 513, 1024])
 def test_release_factorization_equals_step_loop(n, seed):
     bits = np.random.default_rng(n).integers(0, 2, size=n)
     counter = StreamingCounter(n, BUDGET, seed)
@@ -614,8 +612,9 @@ def test_monte_carlo_blocks_match_per_trial_loop(monkeypatch, kind, n):
             assert monte_carlo_mse(kind, n, t, BUDGET, seed, fact) == _estimate(per_trial[:t])
 
 
-# the direct-to-FFT switch, and both ends of the range it moved over
-FFT_EDGES = [TOEPLITZ_DIRECT_MAX, TOEPLITZ_DIRECT_MAX + 1, 1024, 4096, 4097]
+# FFT lengths 1, 3, 5, 16, 32, 48, 640, 1024, 1280, 2048, 8192 and 10240:
+# every length family at small n, and the seams at 512 / 513 and 4096 / 4097
+FFT_EDGES = [1, 2, 3, 7, 16, 24, 300, 512, 513, 1024, 4096, 4097]
 
 
 @pytest.mark.parametrize("n", FFT_EDGES)
