@@ -13,7 +13,6 @@ from .certificates import (
     gamma_lower,
     gamma_upper,
     verify_certificate,
-    verify_diagonal_certificate,
 )
 from .factorization import (
     Factorization,

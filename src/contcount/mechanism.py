@@ -224,14 +224,14 @@ def _normals(seed: int, rows: int, width: int) -> np.ndarray:
     return z
 
 
-def _sqrt_noise(g: np.ndarray, multiplier: float) -> np.ndarray:
+def _sqrt_noise(g: np.ndarray, multiplier: float, n: int) -> np.ndarray:
     """Square-root factorization noise, in place: each row of the (b, n)
     normals ``g`` becomes L g_row, then all are scaled by
     ``multiplier * ||R||_{1->2}``.  Returns ``g``.  The scale is taken
     first, so the coefficients go to ``toeplitz_lower_matvec`` as their
     only reference and are freed once their spectrum exists (CPython 3.11
     on moves call arguments into the callee)."""
-    held = [sqrt_coefficients(g.shape[-1])]  # popped into the call: no local name keeps them
+    held = [sqrt_coefficients(n)]  # popped into the call: no local name keeps them
     scale = multiplier * _sqrt_sensitivity(held[0])
     toeplitz_lower_matvec(held.pop(), g, out=g)
     g *= scale
@@ -360,7 +360,7 @@ class _Mechanism(NamedTuple):
 _MECHANISMS = {
     "factorization": _Mechanism(
         lambda n: n,
-        lambda z, c, n: _sqrt_noise(z, c),
+        _sqrt_noise,
         lambda n: _sqrt_sensitivity(sqrt_coefficients(n)),
         _sqrt_expected_mse,
     ),

@@ -219,7 +219,7 @@ def test_criterion_09_certificates():
         n = int(rng.integers(1, 13))
         d = np.diag(rng.normal(size=n) + np.sign(rng.normal(size=n)) * 0.1)
         cert = cc.build_diagonal_certificate(d)
-        feasible, objective = cc.verify_diagonal_certificate(d, cert)
+        feasible, objective = cc.verify_certificate(d, cert)
         diag_ok &= feasible
         upper = cc.gamma_upper(d)
         diag_ok &= abs(objective - upper) <= 1e-9 * (1 + upper)

@@ -12,7 +12,6 @@ from contcount.certificates import (
     gamma_lower,
     gamma_upper,
     verify_certificate,
-    verify_diagonal_certificate,
 )
 from contcount.linalg import frobenius_norm, min_eigenvalue_symmetric, schatten1
 from contcount.workload import (
@@ -81,11 +80,16 @@ def test_svd_certificate_rejects_zero_matrix():
 
 
 def test_scaled_certificate_infeasible():
-    a = np.eye(2)
-    cert = build_svd_certificate(a)
-    bad = DualCertificate(w=cert.w, Z=1.5 * cert.Z, claimed_objective=cert.claimed_objective)
-    feasible, _ = verify_certificate(a, bad)
-    assert not feasible
+    # both builders give Z Z^T = n I: the PSD block is singular, and any growth of Z leaves the cone
+    for a, build, factor in [
+        (np.eye(2), build_svd_certificate, 1.5),
+        (np.diag([3.0, 0.0, -1.0]), build_diagonal_certificate, 1.01),
+    ]:
+        cert = build(a)
+        assert verify_certificate(a, cert)[0]
+        bad = DualCertificate(w=cert.w, Z=factor * cert.Z, claimed_objective=cert.claimed_objective)
+        feasible, _ = verify_certificate(a, bad)
+        assert not feasible
 
 
 def _feasibility_block(z: np.ndarray) -> np.ndarray:
@@ -121,6 +125,7 @@ def dual_blocks(draw):
 @given(dual_blocks())
 @example(np.full((3, 3), 1e200))  # its Gram overflows float64 unless Z is scaled first
 @example(np.zeros((1, 1)))  # discriminant exactly 0
+@example(np.array([[-3.84214911e-06]]))  # 1 - sigma^2 formed first lost 3.8e-12 to cancellation
 def test_schur_min_eigenvalue_matches_dense_block(z):
     n, m = z.shape
     scale = 1.0 + frobenius_norm(z)
@@ -147,6 +152,17 @@ def test_w_structure_violations_detected():
         a, DualCertificate(w=unnormalized, Z=cert.Z, claimed_objective=0)
     )
     assert not feasible
+    # the weight of a zero diagonal entry sits on the floor; zeroed, only positivity catches it
+    d = np.diag([3.0, 0.0, -1.0])
+    diag_cert = build_diagonal_certificate(d)
+    assert verify_certificate(d, diag_cert)[0]
+    zeroed = diag_cert.w.copy()
+    zeroed[3 + 1] = 0.0
+    feasible, objective = verify_certificate(
+        d, DualCertificate(w=zeroed, Z=diag_cert.Z, claimed_objective=0)
+    )
+    assert not feasible
+    assert objective == pytest.approx(gamma_upper(d), rel=1e-12)
 
 
 def test_verify_certificate_dimension_checks():
@@ -171,11 +187,11 @@ def test_objective_matches_trace_formula():
 def test_diagonal_certificate_examples():
     d = np.diag([3.0, 4.0])
     cert = build_diagonal_certificate(d)
-    assert cert.beta == 0.5
-    assert np.diag(cert.Y) == pytest.approx([0.3, 0.4], rel=1e-12)
-    assert cert.y == pytest.approx([0.18, 0.32], rel=1e-12)
-    assert cert.claimed_objective == pytest.approx(5.0, rel=1e-12)
-    feasible, objective = verify_diagonal_certificate(d, cert)
+    assert isinstance(cert, DualCertificate)
+    assert np.array_equal(cert.Z, math.sqrt(2) * np.eye(2))
+    assert cert.w == pytest.approx([0.5, 0.5, 0.6 / math.sqrt(2), 0.8 / math.sqrt(2)], rel=1e-15)
+    assert cert.claimed_objective == 5.0
+    feasible, objective = verify_certificate(d, cert)
     assert feasible and objective == pytest.approx(5.0, rel=1e-12)
 
     single = np.array([[1.0]])
@@ -195,11 +211,27 @@ def test_diagonal_certificate_normalization():
         if not np.any(np.diag(d)):
             continue
         cert = build_diagonal_certificate(d)
-        assert cert.beta + np.sum(cert.y) == pytest.approx(1.0, abs=1e-14)
-        feasible, objective = verify_diagonal_certificate(d, cert)
+        assert np.linalg.norm(cert.w) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(cert.w[:n] == cert.w[0])
+        assert cert.Z @ cert.Z.T == pytest.approx(n * np.eye(n), rel=1e-15, abs=1e-15)
+        feasible, objective = verify_certificate(d, cert)
         assert feasible
         # bounds pinch: the certificate's lower bound meets the Frobenius upper bound
         assert objective == pytest.approx(gamma_upper(d), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [[1.0, 0.0, -2.0], [1.0, 1e-20], [1e300, -1e300], [5e-324] * 3],
+    ids=["zero", "tiny", "huge", "subnormal"],
+)
+def test_diagonal_certificate_extreme_entries(diagonal):
+    d = np.diag(diagonal)
+    cert = build_diagonal_certificate(d)
+    assert np.all(np.isfinite(cert.w)) and cert.claimed_objective == gamma_upper(d)
+    feasible, objective = verify_certificate(d, cert)
+    assert feasible
+    assert objective == pytest.approx(gamma_upper(d), rel=1e-12, abs=0)
 
 
 def test_diagonal_certificate_rejects_non_diagonal():
@@ -207,6 +239,36 @@ def test_diagonal_certificate_rejects_non_diagonal():
         build_diagonal_certificate(np.array([[1.0, 0.5], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         build_diagonal_certificate(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        build_diagonal_certificate(np.ones((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "a, lower",
+    [
+        # ||A||_1 overflows float64, ||A||_1 / sqrt(2) does not
+        ([[1e308, 1.0], [0.0, 1e308]], 1.414213562373095e308),
+        # subnormal: unscaled, every product of the objective rounded (to 2 gamma at 5e-324)
+        ([[5e-324]], 5e-324),
+        ([[1e-320, 0.0], [0.0, 1e-320]], 1.414e-320),
+    ],
+    ids=["sum-overflows", "subnormal", "subnormal-diagonal"],
+)
+def test_svd_certificate_extreme_magnitudes(a, lower):
+    cert = build_svd_certificate(a)
+    assert cert.claimed_objective == lower == gamma_lower(a)
+    assert lower <= gamma_upper(a)
+    feasible, objective = verify_certificate(a, cert)
+    assert feasible
+    assert objective == pytest.approx(lower, rel=1e-15, abs=0)
+
+
+def test_overflowing_singular_values_refused():
+    # sigma_max = 2.4e308: the SVD returns inf, which would be no lower bound
+    a = np.full((2, 2), 1.2e308)
+    for call in (gamma_lower, build_svd_certificate):
+        with pytest.raises(ValueError, match="singular value exceeds the float64 range"):
+            call(a)
 
 
 def test_svd_certificates_random_batch():

@@ -198,6 +198,23 @@ def test_certify_missing_file(capsys):
     assert err
 
 
+def test_certify_extreme_magnitudes(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    # ||A||_1 overflows float64, ||A||_1 / sqrt(2) does not
+    write_matrix_csv(path, [[1e308, 1.0], [0.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["certify", "--matrix", str(path)], capsys)
+    assert code == 0
+    lower, upper, feasible, _ = out.splitlines()[1].split(",")
+    assert float(lower) <= float(upper) < math.inf and feasible == "true"
+    # sigma_max = 2.4e308 itself overflows: refused, not reported as an infinite lower bound
+    write_matrix_csv(path, np.full((2, 2), 1.2e308))
+    code, out, err = run_cli(["certify", "--matrix", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert "singular value exceeds the float64 range" in err
+
+
 @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
 def test_certify_one_svd_and_gram_size_eigensolve(tmp_path, capsys, monkeypatch, shape):
     svd_shapes, eig_shapes = [], []

@@ -620,8 +620,8 @@ FFT_EDGES = [1, 2, 3, 7, 16, 24, 300, 512, 513, 1024, 4096, 4097]
 @pytest.mark.parametrize("n", FFT_EDGES)
 def test_sqrt_noise_block_equals_rows(n):
     block = mechanism._normals(2**40 + 3, 5, n)
-    rows = [mechanism._sqrt_noise(row[None, :].copy(), 1.5)[0] for row in block]
-    assert mechanism._sqrt_noise(block, 1.5).tobytes() == np.array(rows).tobytes()
+    rows = [mechanism._sqrt_noise(row[None, :].copy(), 1.5, n)[0] for row in block]
+    assert mechanism._sqrt_noise(block, 1.5, n).tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("n", FFT_EDGES)
