@@ -19,11 +19,10 @@ writes nothing when every row is inside the ball.
 calls serve every seed; its post-hoc oracle serves them all too, and each
 seed leaves it at its own stopping iteration.  Both read the logistic
 streams sign-folded, each row x stored as -y x, so a margin or gradient
-takes no multiply by the label, and the rounds skip the clip when
-``_clip_norm`` shows that no gradient can be longer than kappa.  Every
-operation acts on each seed's row alone, and each shortcut rounds exactly
-as the operations it replaces, so each report is byte for byte that of the
-seed's own ``run_dp_ftrl_logistic``.
+takes no multiply by the label.  Every operation acts on each seed's row
+alone, and the sign-folding rounds exactly as the multiplies it replaces,
+so each report is byte for byte that of the seed's own
+``run_dp_ftrl_logistic``.
 """
 
 from __future__ import annotations
@@ -102,11 +101,8 @@ def _ftrl_step(grad, grad_prefix, z, theta, kappa, radius, neg_lam, scale) -> No
     """One round of k learners, in place on (k, d) blocks: clip each row of
     ``grad`` to kappa and add it to ``grad_prefix``; set ``theta`` to
     (prefix + z) / (-lam), which is exactly -(prefix + z) / lam, projected
-    onto the ball.  A kappa of None skips the clip, for a caller that has
-    shown it would leave every row as it is.  Errstate and ``scale``: as
-    ``_shrink_rows_in_place``."""
-    if kappa is not None:
-        _shrink_rows_in_place(grad, kappa, scale)
+    onto the ball.  Errstate and ``scale``: as ``_shrink_rows_in_place``."""
+    _shrink_rows_in_place(grad, kappa, scale)
     np.add(grad_prefix, grad, out=grad_prefix)
     np.add(grad_prefix, z, out=theta)
     np.divide(theta, neg_lam, out=theta)
@@ -428,40 +424,6 @@ def _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start):
     return xs, ys, noise, lam
 
 
-# Least kappa for which ``_clip_norm`` may skip the clip: see its argument.
-_NO_CLIP_MIN_KAPPA = 2.0**-400
-
-
-def _clip_norm(xs: np.ndarray, kappa: float, sq_norms: np.ndarray) -> float | None:
-    """The clip norm of the rounds on the (k, n, d) streams xs: None, no
-    clip, when no round's gradient can be longer than kappa, else kappa.
-    ``sq_norms`` is a (k, n) buffer for the squared row norms.
-
-    A gradient is fl(s x) (its sign aside) for an input row x and a sigmoid
-    weight s in [0, 1], so |g_i| <= |x_i| entry by entry: rounding is
-    monotone.  The clip computes ||g|| as fl(sqrt(fl(sum_i g_i^2))); the
-    longest row norm L is computed here the same way, with the d terms maybe
-    summed in another order.  With u = 2^-53, any order of d non-negative
-    squares gives the exact sum to within a factor (1 +- u)^d, and the root
-    adds a factor (1 +- u), so the clip reads ||g|| <= L ((1 + u) /
-    (1 - u))^(d/2 + 1), about L (1 + (d + 2) u).  fl(L (1 + 4 d u)) <= kappa
-    (the factor is exact) puts that below kappa for d >= 2, with (3d - 3) u
-    to spare; for d = 1 both norms are the root of one square, and ||g|| <=
-    L <= kappa by monotonicity alone.  Each clip would then scale by exactly
-    1.  The relative bounds fail where a square underflows below 2^-1022
-    and carries an absolute error of up to 2^-1075 instead, so the clip is
-    kept for kappa below ``_NO_CLIP_MIN_KAPPA`` = 2^-400.  Above it, a row
-    with sum x_i^2 >= 2^-900 takes these errors as relative ones below
-    d 2^-175, far inside the spare, and a shorter row has ||g|| at most
-    about 2^-450 < kappa.
-    """
-    # the root of the largest square: the largest root, as the root is monotone
-    longest = math.sqrt(float(np.vecdot(xs, xs, out=sq_norms).max()))
-    if kappa >= _NO_CLIP_MIN_KAPPA and longest * (1.0 + 4 * xs.shape[2] * 2.0**-53) <= kappa:
-        return None
-    return kappa
-
-
 def _lockstep_rounds(tasks, budget, seeds, kappa, radius, shape, start) -> list[RegretReport]:
     """The reports of one group of seeds (``_stack_seeds``): the round loop,
     then the post-hoc optima of ``_minimize_logistic_in_balls``, after the
@@ -472,13 +434,12 @@ def _lockstep_rounds(tasks, budget, seeds, kappa, radius, shape, start) -> list[
     Each round then writes into buffers allocated once: the negated margins
     (-y x).theta, exactly -(y x.theta) up to the sign of a zero, which
     ``tanh`` and ``logaddexp`` erase; the gradients sigmoid(-margin) (-y x),
-    which round as (-y sigmoid(-margin)) x does; then one ``_ftrl_step``,
-    with no clip when ``_clip_norm`` shows it would change nothing."""
+    which round as (-y sigmoid(-margin)) x does; then one ``_ftrl_step``."""
     xs, ys, noise, lam = _stack_seeds(tasks, budget, seeds, kappa, radius, shape, start)
     k, n, d = xs.shape
     bound = regret_bound(n, kappa, d, budget, radius)
     neg_margins = np.empty((n, k))
-    clip_norm, radius = _clip_norm(xs, float(kappa), neg_margins.T), float(radius)
+    kappa, radius = float(kappa), float(radius)
     neg_ys = np.negative(ys)[..., None]
     xs *= neg_ys  # the sign-folded streams -y x
     weight, scale = np.empty((k, 1)), np.empty((k, 1))
@@ -490,7 +451,7 @@ def _lockstep_rounds(tasks, budget, seeds, kappa, radius, shape, start) -> list[
             np.vecdot(neg_x, theta, out=neg_margin)
             _sigmoid(neg_margin, out=w)
             np.multiply(weight, neg_x, out=grad)
-            _ftrl_step(grad, grad_prefix, z, theta, clip_norm, radius, neg_lam, scale)
+            _ftrl_step(grad, grad_prefix, z, theta, kappa, radius, neg_lam, scale)
     # the running total of each seed's losses, one round at a time (a sum
     # down the column would be pairwise when there is one seed)
     incurred = np.cumsum(np.logaddexp(0.0, neg_margins), axis=0)[-1]

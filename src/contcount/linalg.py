@@ -121,8 +121,9 @@ def singular_values(a) -> np.ndarray:
 
 
 def schatten1(a) -> float:
-    """Sum of singular values (trace norm)."""
-    return float(np.sum(singular_values(a)))
+    """Sum of singular values (trace norm); exact scaling keeps it finite
+    and nonzero for tiny, subnormal and huge entries."""
+    return _pow2_scaled_norm(as_matrix(a), lambda s: np.sum(singular_values(s)))
 
 
 def pseudoinverse(a) -> np.ndarray:

@@ -22,21 +22,17 @@ seeded with ``PCG64(seed)`` and use ``standard_normal`` (ziggurat), so a
 fixed seed reproduces outputs bit-for-bit.  Monte-Carlo trial i draws the
 row ``release`` would draw from ``seed + i``, so each trial equals its own
 ``release``.  Seeds are integers (``workload._check_int``), and
-``seed + i`` is taken in Python ints, so it never wraps.  When every
-seed of a block is below 2^32, its row states are computed together
-(``_pcg64_states``, numpy's seeding in vectorised uint32 arithmetic) and
-one generator is set to each in turn; any other block builds one
-``PCG64(seed + i)`` per row.  Every row equals ``PCG64(seed + i)``'s byte
-for byte, and ``test_pcg64_states_equal_numpy_seeding`` fails if a numpy
-release seeds PCG64 differently.  The trials are mapped in blocks of at most
-``_BLOCK_VALUES`` normals, and every estimate is byte for byte that of a
-loop of one ``release`` per trial: each row goes through the same 1-D
-operations.  So a square-root block is one ``toeplitz_lower_matvec``
-call, which computes one coefficient spectrum per block and transforms the
-rows in batches, each row as a 1-D FFT would, dense blocks use a stacked
-``matmul``, one matrix-vector product per row (a matrix-matrix product
-rounds differently), and every sum runs along a row (numpy sums a row
-pairwise, but sums down a column one element at a time).
+``seed + i`` is taken in Python ints, so it never wraps.  Each row is
+drawn from its own ``PCG64(seed + i)``: numpy's own seeding.  The trials
+are mapped in blocks of at most ``_BLOCK_VALUES`` normals, and every
+estimate is byte for byte that of a loop of one ``release`` per trial:
+each row goes through the same 1-D operations.  So a square-root block
+is one ``toeplitz_lower_matvec`` call, which computes one coefficient
+spectrum per block and transforms the rows in batches, each row as a 1-D
+FFT would, dense blocks use a stacked ``matmul``, one matrix-vector
+product per row (a matrix-matrix product rounds differently), and every
+sum runs along a row (numpy sums a row pairwise, but sums down a column
+one element at a time).
 """
 
 from __future__ import annotations
@@ -125,102 +121,12 @@ def _check_bits(bits) -> np.ndarray:
     return x
 
 
-# numpy's SeedSequence hashes with hashmix(v): v ^= h; h *= mult; v *= h;
-# v ^= v >> 16, in uint32.  The hash constants h do not depend on the data,
-# so call k xors c_k = init * mult^k and multiplies by c_(k+1).
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^k mod 2^32 for k = 0, ..., count, as uint32."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult % 2**32)
-    return np.array(out, dtype=np.uint32)
-
-
-# mix_entropy hashes the 4 pool words (calls 0-3), then mixes each hashed
-# word src into every other word dst in order, 3 calls per src (calls 4-15):
-# _CROSS[src, dst] is the call of that pair (a placeholder where dst = src)
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_CROSS = np.array([[4 + 3 * src + max(dst - (dst >= src), 0) for dst in range(4)] for src in range(4)])
-_CROSS_XOR, _CROSS_MUL = _HASH_A[_CROSS], _HASH_A[_CROSS + 1]
-# generate_state(4, uint64) hashes the pool, cycled to 8 words
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# 0-d arrays: numpy applies them faster than scalars of the same dtype
-_MIX_L, _MIX_R, _U32_16 = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-# Row states ``_normals`` builds per ``_pcg64_states`` call: about 0.9 MB of
-# state dicts, and the call's fixed 60-100 us is under 0.1 us a row.
-_STATE_ROWS = 1024
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ (v >> _U32_16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> _U32_16)
-
-
-def _pcg64_states(first: int, count: int) -> list[dict]:
-    """``PCG64(s).state`` for s = first, ..., first + count - 1, all in
-    [0, 2^32), computed for all seeds at once.
-
-    Such a seed is one entropy word, and numpy's ``SeedSequence`` hashes
-    the three missing words of its pool as zeros, then hashes the pool into
-    four 64-bit words.  PCG64 takes initstate s0 and initseq s1 from them,
-    high word first, and sets inc = 2 s1 + 1 and state = (inc + s0) M + inc,
-    mod 2^128, here in Python ints."""
-    if count < 1:
-        return []
-    if first < 0 or first + count > 2**32:
-        raise ValueError(f"bulk seeding takes seeds in [0, 2^32), got [{first}, {first + count})")
-    entropy = np.zeros((count, 4), dtype=np.uint32)
-    entropy[:, 0] = np.arange(first, first + count, dtype=np.uint32)
-    pool = _hashmix(entropy, _HASH_A[:4], _HASH_A[1:5])
-    for src in range(4):
-        # column src is mixed too, with placeholder constants, and put back
-        mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MUL[src]))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    words = _hashmix(np.concatenate((pool, pool), axis=1), _HASH_B[:-1], _HASH_B[1:])
-    # numpy reads the 8 hashed words as 4 little-endian uint64 words
-    words = words.astype("<u4", copy=False).view("<u8")
-    return [
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + (s0_hi << 64 | s0_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for s0_hi, s0_lo, s1_hi, s1_lo in words.tolist()
-        for inc in ((s1_hi << 65 | s1_lo << 1 | 1) & _MASK128,)
-    ]
-
-
 def _normals(seed: int, rows: int, width: int) -> np.ndarray:
     """(rows, width) standard normals; row i is ``standard_normal(width)``
-    from ``PCG64(seed + i)``, byte for byte.  When every seed is below
-    2^32, one generator draws every row: it is built from ``seed`` and then
-    set to each later row's state from ``_pcg64_states``, which builds
-    ``_STATE_ROWS`` states at a time, so a narrow block holds no state dict
-    per row.  Any other block builds a generator per row.  Callers pass
-    ``seed`` through ``_check_int``."""
+    from ``PCG64(seed + i)``.  Callers pass ``seed`` through ``_check_int``."""
     z = np.empty((rows, width))
-    rng = _generator(seed)  # also refuses a negative seed
-    bulk = seed + rows <= 2**32
-    states = (
-        state
-        for first in range(seed + 1, seed + rows, _STATE_ROWS)
-        for state in _pcg64_states(first, min(_STATE_ROWS, seed + rows - first))
-    )
     for i, row in enumerate(z):
-        if i and bulk:
-            rng.bit_generator.state = next(states)
-        elif i:
-            rng = _generator(seed + i)
-        rng.standard_normal(out=row)
+        _generator(seed + i).standard_normal(out=row)  # also refuses a negative seed
     return z
 
 

@@ -74,7 +74,7 @@ CASES = {
     },
     "ftrl overflow branch": {"argv": ["ftrl", "--n", "24", "--d", "3", "--seeds-count", "5", "--radius", "1e300"]},
     "ftrl eps inf": {"argv": ["ftrl", "--n", "256", "--d", "4", "--seeds-count", "3", "--eps", "inf"]},
-    # the paper-experiments sizes; the honaker seeds straddle 2^32, so its rows are seeded one by one
+    # the paper-experiments sizes; the honaker seeds straddle 2^32, a seed-word edge of numpy's seeding
     "monte_carlo_mse factorization 1024x250": _monte_carlo("factorization", 1024, 250, 0),
     "monte_carlo_mse binary 256x125": _monte_carlo("binary", 256, 125, 448),
     "monte_carlo_mse honaker 256x500": _monte_carlo("honaker", 256, 500, 2**32 - 100),

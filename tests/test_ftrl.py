@@ -499,46 +499,28 @@ def test_lockstep_blocks_where_only_some_rows_overflow(monkeypatch):
     assert (True, False, True) in overflowed
 
 
-def _recording_clip_norms(monkeypatch):
-    """The clip norm of each ``_ftrl_step`` call, None where it skips the clip."""
-    clip_norms = []
-    ftrl_step = ftrl._ftrl_step
-
-    def recording(grad, grad_prefix, z, theta, kappa, *args):
-        clip_norms.append(kappa)
-        ftrl_step(grad, grad_prefix, z, theta, kappa, *args)
-
-    monkeypatch.setattr(ftrl, "_ftrl_step", recording)
-    return clip_norms
-
-
-def test_rounds_skip_the_clip_only_where_no_gradient_can_exceed_kappa(monkeypatch):
+def test_rounds_equal_per_seed_runs_at_kappa_near_the_longest_row():
     # the ftrl benchmark shape: n = 2048, d = 5, 5 seeds, kappa = 1; then
-    # kappa at the longest row norm and either side of the bound's edge
+    # kappa at the longest input row norm and a few ulps above it, where a
+    # gradient's computed norm can fall on either side of kappa
     n, d, seeds = 2048, 5, [3, 4, 5, 6, 7]
     tasks = [logistic_task(n, d, seed) for seed in seeds]
     longest = max(float(np.sqrt(np.vecdot(task.xs, task.xs)).max()) for task in tasks)
     edge = longest * (1.0 + 4 * d * 2.0**-53)
     assert longest < edge < 1.0
-    clip_norms = _recording_clip_norms(monkeypatch)
-    for kappa, clips in ((1.0, False), (edge, False), (np.nextafter(edge, 0.0), True), (longest, True)):
-        clip_norms.clear()
+    for kappa in (1.0, edge, np.nextafter(edge, 0.0), longest):
         want = [_per_seed_run(task, BUDGET, seed, kappa) for task, seed in zip(tasks, seeds)]
         assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, seeds, kappa) == want
-        assert clip_norms == [kappa if clips else None] * n
 
 
-def test_rounds_keep_the_clip_below_the_underflow_floor(monkeypatch):
-    # inputs of norm about 2^-600 are far inside a kappa of 2^-401, but
-    # squares that small underflow, so the bound's argument does not hold
+def test_rounds_equal_per_seed_runs_where_squares_underflow():
+    # inputs of norm about 2^-600 are far inside a kappa of 2^-401 or
+    # 2^-400, but their squares underflow
     tasks = [logistic_task(40, 3, seed) for seed in (1, 2)]
     tasks = [LogisticTask(xs=task.xs * 2.0**-600, ys=task.ys) for task in tasks]
-    clip_norms = _recording_clip_norms(monkeypatch)
-    for kappa, clips in ((2.0**-401, True), (2.0**-400, False)):
-        clip_norms.clear()
+    for kappa in (2.0**-401, 2.0**-400):
         want = [_per_seed_run(task, BUDGET, seed, kappa) for task, seed in zip(tasks, [1, 2])]
         assert run_dp_ftrl_logistic_seeds(tasks, BUDGET, [1, 2], kappa) == want
-        assert clip_norms == [kappa if clips else None] * 40
 
 
 def test_lockstep_refusals():

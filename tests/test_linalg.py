@@ -106,6 +106,10 @@ def test_schatten1_examples():
     assert schatten1([[1, 0], [1, 1]]) == pytest.approx(math.sqrt(5), rel=1e-12)
     assert schatten1(np.eye(3)) == pytest.approx(3.0, rel=1e-12)
     assert schatten1([[3, 0], [0, 4]]) == pytest.approx(7.0, rel=1e-12)
+    # a trace norm past float64 is inf, with no overflow warning
+    assert schatten1([[1e308, 1], [0, 1e308]]) == math.inf
+    assert schatten1(np.diag([1e308, 1e307])) == pytest.approx(1.1e308, rel=1e-12)
+    assert schatten1(np.diag([5e-324, 5e-324])) == 1e-323
 
 
 def test_pseudoinverse_examples():
@@ -211,7 +215,7 @@ TOEPLITZ_EDGES = [1, 2, 3, 7, 16, 24, 300, 512, 513, 1024, 4096, 4097, 6000, 163
 def test_toeplitz_block_rows_equal_one_row_products(n):
     # numpy does not promise that a multi-row rfft/irfft rounds each row as
     # a 1-D call does; a numpy version that does not fails here, not
-    # silently (test_pcg64_states_equal_numpy_seeding guards the seeding)
+    # silently (the golden digests guard numpy's PCG64 seeding)
     rng = np.random.default_rng(n)
     c = rng.normal(size=n) / np.arange(1, n + 1)
     # blocks that fill the FFT batches of rows, miss by one row or overrun

@@ -668,15 +668,15 @@ def test_monte_carlo_refusals(args, match):
 
 
 def _per_row_normals(seed, rows, width):
-    """``mechanism._normals`` as it ran before the seeding was done in bulk:
-    one generator per row, built from ``PCG64(seed + i)``."""
+    """The randomness contract's draw, written out: one generator per row,
+    built from ``PCG64(seed + i)``."""
     z = np.empty((rows, width))
     for i, row in enumerate(z):
         np.random.Generator(np.random.PCG64(seed + i)).standard_normal(out=row)
     return z
 
 
-# 2049 rows take their states from three _pcg64_states calls
+# empty, one-row, few-row, wide and many-row blocks
 @pytest.mark.parametrize("rows, width", [(0, 3), (1, 1), (2, 1), (3, 7), (250, 1024), (500, 511), (2049, 2)])
 def test_normals_equal_per_row_generators(rows, width):
     for seed in (0, 12345, 2**40 + 7):
@@ -692,39 +692,6 @@ def test_normals_blocks_straddling_word_edges(edge):
         assert got.tobytes() == _per_row_normals(seed, rows, 9).tobytes()
 
 
-def test_pcg64_states_equal_numpy_seeding():
-    # a numpy release that seeds PCG64 differently fails here, not silently
-    rng = np.random.default_rng(2024)
-    seeds = [0, 1, 2**31, 2**32 - 1] + [int(s) for s in rng.integers(0, 2**32, 200)]
-    for seed in seeds:
-        assert mechanism._pcg64_states(seed, 1) == [np.random.PCG64(seed).state]
-    for seed in (0, 2**31, 2**32 - 3, *seeds[-60:]):
-        count = min(3, 2**32 - seed)
-        want = [np.random.PCG64(seed + i).state for i in range(count)]
-        assert mechanism._pcg64_states(seed, count) == want
-    assert mechanism._pcg64_states(5, 0) == []
-    # a seed past 2^32 would wrap in the uint32 entropy words to a wrong state
-    for first, count in ((2**32, 1), (2**32 - 3, 4), (2**40 + 7, 3), (-1, 2)):
-        with pytest.raises(ValueError, match=r"seeds in \[0, 2\^32\)"):
-            mechanism._pcg64_states(first, count)
-
-
-def test_normals_set_row_states_a_chunk_at_a_time(monkeypatch):
-    monkeypatch.setattr(mechanism, "_STATE_ROWS", 3)
-    calls = []
-    pcg64_states = mechanism._pcg64_states
-
-    def recording(first, count):
-        calls.append((first, count))
-        return pcg64_states(first, count)
-
-    monkeypatch.setattr(mechanism, "_pcg64_states", recording)
-    for rows in (1, 2, 4, 5, 8):
-        calls.clear()
-        assert mechanism._normals(10, rows, 2).tobytes() == _per_row_normals(10, rows, 2).tobytes()
-        assert calls == [(first, min(3, 10 + rows - first)) for first in range(11, 10 + rows, 3)]
-
-
 def test_narrow_block_memory_does_not_grow_with_rows():
     # one block of 2^14 one-value rows; a PCG64 state dict held per row
     # (about 0.8 KB each) made the peak about 13 MiB
@@ -735,25 +702,6 @@ def test_narrow_block_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-
-
-def test_normals_draw_one_generator_per_block(monkeypatch):
-    built = []
-    pcg64 = np.random.PCG64
-
-    def counting(seed):
-        built.append(seed)
-        return pcg64(seed)
-
-    monkeypatch.setattr(np.random, "PCG64", counting)
-    below = mechanism._normals(2**32 - 5, 5, 4)  # its last seed is 2^32 - 1
-    assert built == [2**32 - 5]
-    built.clear()
-    straddling = mechanism._normals(2**32 - 2, 5, 4)
-    assert built == [2**32 - 2 + i for i in range(5)]
-    monkeypatch.undo()
-    assert below.tobytes() == _per_row_normals(2**32 - 5, 5, 4).tobytes()
-    assert straddling.tobytes() == _per_row_normals(2**32 - 2, 5, 4).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7.9, 7.0, "7", None, np.float64(3.0), [1]])
